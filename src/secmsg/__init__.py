@@ -17,7 +17,6 @@ from .transport import (
     RequestHandle,
     StartupError,
     TransportError,
-    group_init,
     read_roster,
     waitall,
     write_roster,
@@ -39,7 +38,6 @@ __all__ = [
     "RequestHandle",
     "StartupError",
     "TransportError",
-    "group_init",
     "read_roster",
     "waitall",
     "write_roster",

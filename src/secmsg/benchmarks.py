@@ -384,7 +384,12 @@ def encdec_bench(
         provider_factory = lambda: create_provider(backend, key_bytes)  # noqa: E731
     warmup = _warmup_rounds(iterations) if warmup is None else warmup
 
-    start_line = threading.Barrier(threads + 1)
+    # the barrier action runs before any worker is released, so the clock
+    # starts before the first timed round can begin
+    started: list[float] = []
+    start_line = threading.Barrier(
+        threads + 1, action=lambda: started.append(time.perf_counter())
+    )
     errors: list[Exception] = []
 
     def worker() -> None:
@@ -410,16 +415,12 @@ def encdec_bench(
         start_line.wait()
     except threading.BrokenBarrierError:
         pass
-    start = time.perf_counter()
     for t in pool:
         t.join()
-    elapsed = time.perf_counter() - start
+    end = time.perf_counter()
     if errors:
         raise errors[0]
-    return elapsed * 1e6 / iterations
-
-
-_COLLECTIVE_OPS = ("alltoall", "allgather", "bcast", "alltoallv")
+    return (end - started[0]) * 1e6 / iterations
 
 
 def collective_bench(
@@ -436,8 +437,6 @@ def collective_bench(
 
     A barrier separates iterations; the barrier itself is not timed.
     """
-    if op not in _COLLECTIVE_OPS:
-        raise ValueError(f"op must be one of {_COLLECTIVE_OPS}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     warmup = max(1, iterations // 10) if warmup is None else warmup
@@ -446,29 +445,30 @@ def collective_bench(
         raise ValueError("group has no AEAD provider configured")
     body = _payload(size, payload_seed)
     items = [body] * g.size
-    lengths = [size] * g.size
+    # op -> (plaintext collective, encrypted collective, arguments after g)
+    ops = {
+        "alltoall": (collectives.alltoall, collectives.encrypted_alltoall, (items,)),
+        "allgather": (collectives.allgather, collectives.encrypted_allgather, (body,)),
+        "bcast": (
+            collectives.bcast,
+            collectives.encrypted_bcast,
+            (0, body if g.rank == 0 else None),
+        ),
+        "alltoallv": (
+            collectives.alltoallv,
+            collectives.encrypted_alltoallv,
+            (items, [size] * g.size),
+        ),
+    }
+    if op not in ops:
+        raise ValueError(f"op must be one of {tuple(ops)}")
+    plain_fn, encrypted_fn, args = ops[op]
 
     def call() -> None:
-        if op == "bcast":
-            if encrypted:
-                collectives.encrypted_bcast(g, provider, 0, body if g.rank == 0 else None)
-            else:
-                collectives.bcast(g, 0, body if g.rank == 0 else None)
-        elif op == "alltoall":
-            if encrypted:
-                collectives.encrypted_alltoall(g, provider, items)
-            else:
-                collectives.alltoall(g, items)
-        elif op == "allgather":
-            if encrypted:
-                collectives.encrypted_allgather(g, provider, body)
-            else:
-                collectives.allgather(g, body)
+        if encrypted:
+            encrypted_fn(g, provider, *args)
         else:
-            if encrypted:
-                collectives.encrypted_alltoallv(g, provider, items, lengths)
-            else:
-                collectives.alltoallv(g, items, lengths)
+            plain_fn(g, *args)
 
     for _ in range(warmup):
         g.barrier()

@@ -35,7 +35,7 @@ from .models import (
     save_params,
     size_class_for,
 )
-from .transport import ProcessGroup, TransportError, read_roster
+from .transport import DEFAULT_THRESHOLD, ProcessGroup, TransportError, read_roster
 
 DEFAULT_KEY = bytes(range(32))
 
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--op", default="alltoall", choices=["alltoall", "allgather", "bcast", "alltoallv"])
     bench.add_argument("--scale", type=float, default=1.0, help="iteration-count multiplier")
     bench.add_argument("--seed", type=int, default=None, help="payload generator seed")
-    bench.add_argument("--threshold", type=int, default=131072, help="eager/rendezvous split, bytes")
+    bench.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD, help="eager/rendezvous split, bytes")
     bench.add_argument("--plaintext", action="store_true", help="run without encryption")
     bench.add_argument("--out", help="samples CSV path (rank 0 only)")
     bench.add_argument("--min-runs", type=int, default=None)
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit model parameters from a samples CSV")
     fit.add_argument("model", choices=["hockney", "encdec", "maxrate"])
     fit.add_argument("--input", required=True, help="samples CSV from 'bench'")
-    fit.add_argument("--threshold", type=int, default=131072)
+    fit.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
     fit.add_argument("--out", help="parameter JSON path")
     fit.set_defaults(func=cmd_fit)
 

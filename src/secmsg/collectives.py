@@ -4,8 +4,9 @@ collective, open every incoming element.
 The plaintext collectives are deliberately simple: broadcast walks a
 binomial tree and the all-to-all style operations do a rank-ordered
 pairwise exchange (the lower rank of each pair sends first).  The
-ordering keeps rendezvous handshakes strictly sequential per connection,
-which the transport's wire protocol requires.
+ordering keeps rendezvous handshakes strictly sequential per connection:
+the transport reads a rendezvous body straight after its RTS header, so a
+connection must not carry rendezvous transfers in both directions at once.
 
 Self-addressed elements bypass the wire but are still sealed and opened,
 so every rank performs exactly ``n`` seal calls and ``n`` open calls in

@@ -36,8 +36,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .benchmarks import LatencySample
-
-DEFAULT_THRESHOLD = 131072
+from .transport import DEFAULT_THRESHOLD
 
 
 class FitError(ValueError):

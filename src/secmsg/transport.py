@@ -1,26 +1,26 @@
 """Rank-addressed point-to-point messaging over a TCP mesh.
 
 A process group is fully connected: exactly one TCP connection per
-unordered pair of ranks.  Every message starts with a 12-byte
-little-endian header ``[u32 body_length][u32 tag][u8 mode][3 zero
-bytes]``.  Messages whose payload classifies below the configured
-threshold are sent eagerly (header and body written back to back);
-larger ones use a rendezvous handshake: the header goes out with mode
-RTS, the receiver answers with the single byte 0xC7 (CTS) once a
-matching receive is posted, and only then does the body follow.
+unordered pair of ranks.  Every wire unit leads with its mode byte, and
+the reader dispatches on the first byte it reads.  A message starts
+with a 12-byte little-endian header ``[u8 mode][3 zero bytes][u32
+body_length][u32 tag]``.  Messages whose payload classifies below the
+configured threshold are sent eagerly (header and body written back to
+back); larger ones use a rendezvous handshake: the header goes out with
+mode RTS, the receiver answers with the one-byte unit ``MODE_CTS`` once
+a matching receive is posted, and only then does the body follow.
 Encrypted variants carry a sealed frame as the body (wire body is 28
 bytes longer than the plaintext); the eager/rendezvous decision is made
 on the plaintext length so that the protocol split lines up with the
 sizes a benchmark sweep requests.
 
-Per connection, at most one rendezvous send is in flight at a time and
-no other frame may be written between its header and its body; queued
-sends drain once the body is on the wire.  The CTS byte is the only
-unframed unit on the wire, so while a rendezvous send is awaiting CTS
-the opposite direction must not deliver a frame whose first header byte
-equals 0xC7 (a body length of 199 mod 256).  The communication patterns
-in this package (ping-pong, windowed multi-pair, rank-ordered
-collectives) never produce that crossing.
+Per connection, sends go out in the order they were posted: at most one
+rendezvous send is in flight at a time, and sends queued behind it drain
+once its body is on the wire.  A connection must not carry rendezvous
+transfers in both directions at once, because the receiver reads a
+rendezvous body straight after its RTS header and so cannot see a CTS
+until that body is in; ``collectives`` orders its pairwise exchanges by
+rank for this reason.
 
 Tags are free-form u32 values; tags at and above 0xFFFFFFF0 are reserved
 for internal use (barrier, collectives).
@@ -37,12 +37,13 @@ from collections import deque
 
 from .aead import AeadProvider, Frame, IntegrityError
 
-HEADER = struct.Struct("<IIB3x")  # body_length, tag, mode; 12 bytes
+HEADER = struct.Struct("<B3xII")  # mode, body_length, tag; 12 bytes
 HELLO = struct.Struct("<I")
 
 MODE_EAGER = 0
 MODE_RTS = 1
-CTS_BYTE = 0xC7
+MODE_CTS = 2  # a one-byte unit, no header
+_CTS = bytes([MODE_CTS])
 
 DEFAULT_THRESHOLD = 131072  # plaintext bytes; at or above goes rendezvous
 
@@ -165,23 +166,13 @@ def waitall(handles, timeout: float | None = None) -> None:
         h.wait(timeout)
 
 
-class _RdvSend:
-    """An outbound rendezvous transfer: header written, body gated on CTS."""
-
-    __slots__ = ("handle", "body")
-
-    def __init__(self, handle: RequestHandle, body: bytes):
-        self.handle = handle
-        self.body = body
-
-
 class _RdvArrival:
     """An announced inbound rendezvous transfer awaiting CTS and body."""
 
-    __slots__ = ("length", "handle")
+    __slots__ = ("conn", "handle")
 
-    def __init__(self, length: int):
-        self.length = length
+    def __init__(self, conn: "_Conn"):
+        self.conn = conn
         self.handle: RequestHandle | None = None
 
 
@@ -190,9 +181,10 @@ class _Conn:
         self.peer = peer
         self.sock = sock
         self.lock = threading.Lock()
-        self.out_queue: deque = deque()  # ("eager", handle, payload) | ("rdv", _RdvSend, header)
-        self.rdv_active: _RdvSend | None = None
-        self.pending_cts = 0
+        # (mode, handle, header, body) in posting order; while awaiting_cts
+        # the head is the rendezvous send whose header is on the wire
+        self.out_queue: deque = deque()
+        self.awaiting_cts = False
         self.bytes_out = 0
         self.bytes_in = 0
         self.alive = True
@@ -361,19 +353,23 @@ class ProcessGroup:
         try:
             while True:
                 first = conn.read_exact(1)
-                if conn.pending_cts > 0 and first[0] == CTS_BYTE:
+                if first[0] == MODE_CTS:
                     self._on_cts(conn)
                     continue
-                header = first + conn.read_exact(HEADER.size - 1)
-                length, tag, mode = HEADER.unpack(header)
+                mode, length, tag = HEADER.unpack(first + conn.read_exact(HEADER.size - 1))
                 if mode == MODE_EAGER:
-                    body = conn.read_exact(length) if length else b""
-                    self._deliver(conn.peer, tag, body)
+                    body = conn.read_exact(length)
+                    handle = self._match_arrival(conn.peer, tag, body)
+                    if handle is not None:
+                        handle._complete(body)
                 elif mode == MODE_RTS:
-                    arrival = _RdvArrival(length)
-                    self._announce(conn, tag, arrival)
+                    arrival = _RdvArrival(conn)
+                    handle = self._match_arrival(conn.peer, tag, arrival)
+                    if handle is not None:
+                        arrival.handle = handle
+                        self._send_cts(conn)
                     # body bytes only start flowing after our CTS goes out
-                    body = conn.read_exact(length) if length else b""
+                    body = conn.read_exact(length)
                     if arrival.handle is None:
                         raise ConnectionLost(f"peer {conn.peer} sent a body before CTS")
                     arrival.handle._complete(body)
@@ -385,72 +381,56 @@ class ProcessGroup:
 
     def _on_cts(self, conn: _Conn) -> None:
         with conn.lock:
-            transfer = conn.rdv_active
-            if transfer is None:
+            if not conn.awaiting_cts:
                 raise ConnectionLost(f"peer {conn.peer} sent CTS with no transfer pending")
-            conn.pending_cts -= 1
-            conn.write(transfer.body)
-            conn.rdv_active = None
-            transfer.handle._complete()
+            _, handle, _, body = conn.out_queue[0]
+            conn.write(body)
+            conn.out_queue.popleft()
+            conn.awaiting_cts = False
+            handle._complete()
             self._drain_locked(conn)
 
     def _drain_locked(self, conn: _Conn) -> None:
-        # caller holds conn.lock; flush queued sends up to the next rendezvous
-        while conn.out_queue and conn.rdv_active is None:
-            item = conn.out_queue.popleft()
-            if item[0] == "eager":
-                _, handle, payload = item
-                conn.write(payload)
+        # caller holds conn.lock; flush queued sends up to the next
+        # rendezvous.  A send leaves the queue only once written, so a
+        # failed write leaves it for _on_connection_dead to fail.
+        while conn.out_queue and not conn.awaiting_cts:
+            mode, handle, header, body = conn.out_queue[0]
+            if mode == MODE_EAGER:
+                conn.write(header + body)
+                conn.out_queue.popleft()
                 handle._complete()
             else:
-                # mark the transfer before the header hits the wire: the
-                # reader checks pending_cts without taking this lock
-                _, transfer, header = item
-                conn.rdv_active = transfer
-                conn.pending_cts += 1
                 conn.write(header)
+                conn.awaiting_cts = True
 
-    def _deliver(self, src: int, tag: int, body: bytes) -> None:
+    def _match_arrival(
+        self, src: int, tag: int, item: bytes | _RdvArrival
+    ) -> RequestHandle | None:
+        """Return the oldest receive posted for (src, tag), or queue ``item``
+        (a body, or an _RdvArrival) for the next receive to take."""
         key = (src, tag)
         with self._match_lock:
             posted = self._posted.get(key)
-            if posted:
-                handle = posted.popleft()
-                if not posted:
-                    del self._posted[key]
-            else:
-                self._inbound.setdefault(key, deque()).append(("body", body))
-                return
-        handle._complete(body)
-
-    def _announce(self, conn: _Conn, tag: int, arrival: _RdvArrival) -> None:
-        key = (conn.peer, tag)
-        with self._match_lock:
-            posted = self._posted.get(key)
-            if posted:
-                handle = posted.popleft()
-                if not posted:
-                    del self._posted[key]
-                arrival.handle = handle
-                self._send_cts(conn)
-            else:
-                self._inbound.setdefault(key, deque()).append(("rdv", arrival, conn))
+            if not posted:
+                self._inbound.setdefault(key, deque()).append(item)
+                return None
+            handle = posted.popleft()
+            if not posted:
+                del self._posted[key]
+            return handle
 
     def _send_cts(self, conn: _Conn) -> None:
         with conn.lock:
-            conn.write(bytes([CTS_BYTE]))
+            conn.write(_CTS)
 
     def _on_connection_dead(self, conn: _Conn, exc: Exception) -> None:
         conn.alive = False
         error = exc if isinstance(exc, TransportError) else ConnectionLost(str(exc))
         with conn.lock:
-            if conn.rdv_active is not None:
-                conn.rdv_active.handle._fail(error)
-                conn.rdv_active = None
+            conn.awaiting_cts = False
             while conn.out_queue:
-                item = conn.out_queue.popleft()
-                handle = item[1] if item[0] == "eager" else item[1].handle
-                handle._fail(error)
+                conn.out_queue.popleft()[1]._fail(error)
         with self._match_lock:
             self._dead_peers.add(conn.peer)
             for (src, _tag), handles in list(self._posted.items()):
@@ -478,48 +458,31 @@ class ProcessGroup:
             raise ValueError("message larger than the u32 wire limit")
         handle = RequestHandle(HandleKind.SEND)
         mode = MODE_RTS if classify_len >= self.threshold else MODE_EAGER
-        header = HEADER.pack(len(body), tag, mode)
         with conn.lock:
-            if mode == MODE_EAGER:
-                if conn.rdv_active is None and not conn.out_queue:
-                    conn.write(header + body)
-                    handle._complete()
-                else:
-                    conn.out_queue.append(("eager", handle, header + body))
-            else:
-                transfer = _RdvSend(handle, body)
-                if conn.rdv_active is None and not conn.out_queue:
-                    conn.rdv_active = transfer
-                    conn.pending_cts += 1
-                    conn.write(header)
-                else:
-                    conn.out_queue.append(("rdv", transfer, header))
+            conn.out_queue.append((mode, handle, HEADER.pack(mode, len(body), tag), body))
+            self._drain_locked(conn)
         return handle
 
     def _post_recv(self, src: int, tag: int, provider: AeadProvider | None) -> RequestHandle:
         self._check_peer(src)
         handle = RequestHandle(HandleKind.RECV, provider=provider)
         key = (src, tag)
-        send_cts_on: _Conn | None = None
         with self._match_lock:
             if src in self._dead_peers:
                 handle._fail(ConnectionLost(f"connection to rank {src} is down"))
                 return handle
             queue = self._inbound.get(key)
-            if queue:
-                item = queue.popleft()
-                if not queue:
-                    del self._inbound[key]
-                if item[0] == "body":
-                    handle._complete(item[1])
-                else:
-                    _, arrival, conn = item
-                    arrival.handle = handle
-                    send_cts_on = conn
-            else:
+            if not queue:
                 self._posted.setdefault(key, deque()).append(handle)
-        if send_cts_on is not None:
-            self._send_cts(send_cts_on)
+                return handle
+            item = queue.popleft()
+            if not queue:
+                del self._inbound[key]
+        if isinstance(item, _RdvArrival):
+            item.handle = handle
+            self._send_cts(item.conn)
+        else:
+            handle._complete(item)
         return handle
 
     def isend(self, dest: int, tag: int, body: bytes) -> RequestHandle:
@@ -615,15 +578,3 @@ class ProcessGroup:
         # failing rank cannot assume its peers will reach the farewell
         # barrier
         self.close(synchronize=exc_type is None)
-
-
-def group_init(
-    rank: int,
-    roster: list[tuple[str, int]],
-    *,
-    provider: AeadProvider | None = None,
-    threshold: int = DEFAULT_THRESHOLD,
-    timeout: float = 30.0,
-) -> ProcessGroup:
-    """Bring up this rank's endpoint and block until the mesh is complete."""
-    return ProcessGroup(rank, roster, provider=provider, threshold=threshold, timeout=timeout)

@@ -198,6 +198,32 @@ def test_pingpong_pattern_across_threshold(offset):
     assert run_ranks(2, fn, threshold=threshold, with_provider=False) == [True, True]
 
 
+@pytest.mark.parametrize("reply_len", [199, 455, 200])
+def test_eager_reply_crossing_a_pending_rendezvous(reply_len):
+    # 199 and 455 have 0xC7 as the low byte of their length: a reader that
+    # took a bare 0xC7 byte for CTS by sniffing a header's first byte would
+    # mistake their header for a CTS
+    body = os.urandom(200_000)
+    reply = os.urandom(reply_len)
+
+    def fn(g):
+        if g.rank == 0:
+            h = g.isend(1, DATA, body)
+            got = g.recv(1, SYNC)
+            h.wait()
+            return got
+        # the start-up barrier brought one header; a second one is rank 0's
+        # RTS, so rank 0 is awaiting CTS when the reply goes out
+        deadline = time.monotonic() + 10
+        while g.bytes_received < 2 * HEADER.size and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert g.bytes_received == 2 * HEADER.size
+        g.send(0, SYNC, reply)
+        return g.recv(0, DATA) == body
+
+    assert run_ranks(2, fn, with_provider=False, timeout=20) == [reply, True]
+
+
 def test_wait_on_completed_handle_returns_immediately():
     def fn(g):
         if g.rank == 0:
@@ -370,7 +396,7 @@ def test_mode_bit_follows_plaintext_length_not_wire_length():
     modes = []
     for w in writes:
         if len(w) >= HEADER.size:
-            length, _tag, mode = HEADER.unpack(w[: HEADER.size])
+            mode, length, _tag = HEADER.unpack(w[: HEADER.size])
             modes.append((mode, length, len(w)))
     # first message: eager header+frame in one write, wire body is
     # plaintext + 28 (larger than the threshold, yet still eager)
