@@ -6,7 +6,8 @@ binomial tree and the all-to-all style operations do a rank-ordered
 pairwise exchange (the lower rank of each pair sends first).  The
 ordering keeps rendezvous handshakes strictly sequential per connection:
 the transport reads a rendezvous body straight after its RTS header, so a
-connection must not carry rendezvous transfers in both directions at once.
+connection must not carry rendezvous transfers in both directions at once
+(if it does, both ranks fail with ``ConnectionLost``).
 
 Self-addressed elements bypass the wire but are still sealed and opened,
 so every rank performs exactly ``n`` seal calls and ``n`` open calls in
@@ -158,7 +159,7 @@ def alltoallv(g: ProcessGroup, sendbuf: list[bytes], recv_lengths: list[int]) ->
 
 
 def _seal_all(provider: AeadProvider, elements: list[bytes]) -> list[bytes]:
-    return [provider.seal(bytes(element)).to_bytes() for element in elements]
+    return [provider.seal(element).to_bytes() for element in elements]
 
 
 def _open_from(provider: AeadProvider, blob: bytes, source_rank: int) -> bytes:
@@ -186,7 +187,7 @@ def encrypted_allgather(
     g: ProcessGroup, provider: AeadProvider, element: bytes
 ) -> list[bytes]:
     """Allgather where each rank seals its own element exactly once."""
-    sealed = provider.seal(bytes(element)).to_bytes()
+    sealed = provider.seal(element).to_bytes()
     enc_all = allgather(g, sealed)
     return [_open_from(provider, blob, src) for src, blob in enumerate(enc_all)]
 
@@ -199,7 +200,7 @@ def encrypted_bcast(
     if g.rank == root:
         if body is None:
             raise ValueError("root must supply a body")
-        sealed = provider.seal(bytes(body)).to_bytes()
+        sealed = provider.seal(body).to_bytes()
     frame = bcast(g, root, sealed)
     return _open_from(provider, frame, root)
 

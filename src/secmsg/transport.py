@@ -19,8 +19,19 @@ rendezvous send is in flight at a time, and sends queued behind it drain
 once its body is on the wire.  A connection must not carry rendezvous
 transfers in both directions at once, because the receiver reads a
 rendezvous body straight after its RTS header and so cannot see a CTS
-until that body is in; ``collectives`` orders its pairwise exchanges by
-rank for this reason.
+until that body is in.  A rank whose reader sees an RTS while its own
+rendezvous send on that connection still awaits CTS raises
+``ConnectionLost`` and shuts the connection down, so both ranks fail
+with that typed error instead of hanging; ``collectives`` orders its
+pairwise exchanges by rank to stay clear of it.
+
+The wire path copies no payload it does not have to.  Each connection's
+reader thread reads through a buffered file over the socket: a small
+message costs one ``recv`` for header and body together, and a large
+body is read straight into the ``bytes`` object the receive returns.
+``isend`` keeps a reference to the caller's buffer rather than a
+snapshot, so, as with ``MPI_Isend``, a mutable buffer must not be
+modified until the send's ``wait()`` returns.
 
 Tags are free-form u32 values; tags at and above 0xFFFFFFF0 are reserved
 for internal use (barrier, collectives).
@@ -65,6 +76,11 @@ class StartupError(TransportError):
 
 class ConnectionLost(TransportError):
     pass
+
+
+def _byte_sized(body) -> bytes | bytearray | memoryview:
+    """``body`` itself, or a byte-format view of it, so ``len`` counts bytes."""
+    return body if isinstance(body, (bytes, bytearray)) else memoryview(body).cast("B")
 
 
 class HandleKind(enum.Enum):
@@ -195,17 +211,12 @@ class _Conn:
         self.sock.sendall(data)
         self.bytes_out += len(data)
 
-    def read_exact(self, n: int) -> bytes:
-        buf = bytearray(n)
-        view = memoryview(buf)
-        got = 0
-        while got < n:
-            r = self.sock.recv_into(view[got:], n - got)
-            if r == 0:
-                raise ConnectionLost(f"peer {self.peer} closed the connection")
-            got += r
+    def read_exact(self, rfile, n: int) -> bytes:
+        data = rfile.read(n)
+        if len(data) < n:
+            raise ConnectionLost(f"peer {self.peer} closed the connection")
         self.bytes_in += n
-        return bytes(buf)
+        return data
 
 
 class ProcessGroup:
@@ -350,34 +361,49 @@ class ProcessGroup:
     # -- inbound engine ---------------------------------------------------
 
     def _reader_loop(self, conn: _Conn) -> None:
+        # the file holds a reference to the socket's descriptor, which
+        # close() therefore releases only once this thread closes the file
+        rfile = conn.sock.makefile("rb")
+        arrival: _RdvArrival | None = None  # the body being read, if any
         try:
             while True:
-                first = conn.read_exact(1)
+                first = conn.read_exact(rfile, 1)
                 if first[0] == MODE_CTS:
                     self._on_cts(conn)
                     continue
-                mode, length, tag = HEADER.unpack(first + conn.read_exact(HEADER.size - 1))
+                mode, length, tag = HEADER.unpack(first + conn.read_exact(rfile, HEADER.size - 1))
                 if mode == MODE_EAGER:
-                    body = conn.read_exact(length)
+                    body = conn.read_exact(rfile, length)
                     handle = self._match_arrival(conn.peer, tag, body)
                     if handle is not None:
                         handle._complete(body)
                 elif mode == MODE_RTS:
+                    if conn.awaiting_cts:
+                        # the peer's CTS for our transfer will arrive where
+                        # this reader expects body bytes: unrecoverable
+                        raise ConnectionLost(
+                            f"rank {self.rank}: peer {conn.peer} announced a rendezvous "
+                            "transfer while ours to it awaits CTS; a connection must not "
+                            "carry rendezvous transfers in both directions at once"
+                        )
                     arrival = _RdvArrival(conn)
                     handle = self._match_arrival(conn.peer, tag, arrival)
                     if handle is not None:
                         arrival.handle = handle
                         self._send_cts(conn)
                     # body bytes only start flowing after our CTS goes out
-                    body = conn.read_exact(length)
+                    body = conn.read_exact(rfile, length)
                     if arrival.handle is None:
                         raise ConnectionLost(f"peer {conn.peer} sent a body before CTS")
                     arrival.handle._complete(body)
+                    arrival = None
                 else:
                     raise ConnectionLost(f"peer {conn.peer} sent unknown mode {mode}")
         except (ConnectionLost, OSError) as exc:
             if not self._closing:
-                self._on_connection_dead(conn, exc)
+                self._on_connection_dead(conn, exc, arrival)
+        finally:
+            rfile.close()
 
     def _on_cts(self, conn: _Conn) -> None:
         with conn.lock:
@@ -401,8 +427,10 @@ class ProcessGroup:
                 conn.out_queue.popleft()
                 handle._complete()
             else:
-                conn.write(header)
+                # set before the header leaves, so the reader cannot see
+                # the peer's answering RTS without seeing this flag
                 conn.awaiting_cts = True
+                conn.write(header)
 
     def _match_arrival(
         self, src: int, tag: int, item: bytes | _RdvArrival
@@ -424,15 +452,29 @@ class ProcessGroup:
         with conn.lock:
             conn.write(_CTS)
 
-    def _on_connection_dead(self, conn: _Conn, exc: Exception) -> None:
+    def _on_connection_dead(
+        self, conn: _Conn, exc: Exception, arrival: _RdvArrival | None
+    ) -> None:
+        """Fail everything still waiting on ``conn``: queued sends, posted
+        receives and ``arrival``, the rendezvous whose body was being
+        read.  The socket is shut down so the peer's reader sees EOF."""
         conn.alive = False
         error = exc if isinstance(exc, TransportError) else ConnectionLost(str(exc))
+        try:
+            conn.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         with conn.lock:
             conn.awaiting_cts = False
             while conn.out_queue:
                 conn.out_queue.popleft()[1]._fail(error)
         with self._match_lock:
             self._dead_peers.add(conn.peer)
+            # _post_recv attaches a handle to a queued arrival under this
+            # lock, so either it is attached by now or the receive sees
+            # the peer in _dead_peers
+            if arrival is not None and arrival.handle is not None:
+                arrival.handle._fail(error)
             for (src, _tag), handles in list(self._posted.items()):
                 if src != conn.peer:
                     continue
@@ -478,15 +520,25 @@ class ProcessGroup:
             item = queue.popleft()
             if not queue:
                 del self._inbound[key]
+            if isinstance(item, _RdvArrival):
+                item.handle = handle
         if isinstance(item, _RdvArrival):
-            item.handle = handle
-            self._send_cts(item.conn)
+            try:
+                self._send_cts(item.conn)
+            except OSError:
+                pass  # the connection is dead; its reader fails the handle
         else:
             handle._complete(item)
         return handle
 
     def isend(self, dest: int, tag: int, body: bytes) -> RequestHandle:
-        return self._post_send(dest, tag, bytes(body), classify_len=len(body))
+        """Post a send of any bytes-like ``body``.
+
+        No snapshot is taken: a mutable buffer must stay unmodified until
+        ``wait()`` returns.
+        """
+        body = _byte_sized(body)
+        return self._post_send(dest, tag, body, classify_len=len(body))
 
     def irecv(self, src: int, tag: int) -> RequestHandle:
         return self._post_recv(src, tag, provider=None)
@@ -507,8 +559,8 @@ class ProcessGroup:
         return self.provider
 
     def encrypted_isend(self, dest: int, tag: int, body: bytes) -> RequestHandle:
-        frame = self._require_provider().seal(bytes(body))
-        return self._post_send(dest, tag, frame.to_bytes(), classify_len=len(body))
+        frame = self._require_provider().seal(_byte_sized(body))
+        return self._post_send(dest, tag, frame.to_bytes(), classify_len=frame.plaintext_len)
 
     def encrypted_irecv(self, src: int, tag: int) -> RequestHandle:
         return self._post_recv(src, tag, provider=self._require_provider())

@@ -83,6 +83,14 @@ def test_frame_layout_nonce_then_ciphertext(provider):
         provider.open(Frame(raw[:12], raw[12:-1]))
 
 
+def test_frame_wraps_and_returns_its_buffer_without_copying(provider):
+    raw = provider.seal(b"payload").to_bytes()
+    frame = Frame.from_bytes(raw)
+    assert frame.ciphertext_and_tag.obj is raw
+    assert frame.to_bytes() is raw
+    assert provider.open(frame) == b"payload"
+
+
 def test_every_byte_flip_in_64_byte_frame_rejected(provider):
     plaintext = os.urandom(64 - FRAME_OVERHEAD)
     raw = provider.seal(plaintext).to_bytes()

@@ -1,4 +1,7 @@
 import os
+import platform
+import resource
+import sys
 
 import pytest
 
@@ -264,3 +267,27 @@ def test_plaintext_allgather_and_alltoallv():
     for rank, (gathered, varied) in enumerate(run_ranks(n, fn, with_provider=False)):
         assert gathered == [bytes([i]) * 4 for i in range(n)]
         assert varied == [bytes([i]) * 2 for i in range(n)]
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap policy that keeps freed frames mapped is glibc's",
+)
+def test_encrypted_alltoall_256k_does_not_fault_pages_in_per_op():
+    # freed 256 KiB frames must be reused, not unmapped or trimmed and
+    # faulted in again by the next op (64 faults per frame each time)
+    ops = 100
+
+    def fn(g):
+        sendbuf = [os.urandom(256 * 1024) for _ in range(g.size)]
+        for _ in range(20):
+            encrypted_alltoall(g, g.provider, sendbuf)
+        g.barrier()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(ops):
+            encrypted_alltoall(g, g.provider, sendbuf)
+        g.barrier()
+        return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / ops
+
+    faults_per_op = run_ranks(2, fn)[0]
+    assert faults_per_op < 16

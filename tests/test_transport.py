@@ -1,3 +1,4 @@
+import array
 import os
 import socket
 import threading
@@ -9,6 +10,7 @@ from conftest import TEST_KEY, free_roster, run_ranks
 from secmsg.aead import FRAME_OVERHEAD, IntegrityError
 from secmsg.transport import (
     HEADER,
+    MODE_RTS,
     ConnectionLost,
     ProcessGroup,
     StartupError,
@@ -222,6 +224,106 @@ def test_eager_reply_crossing_a_pending_rendezvous(reply_len):
         return g.recv(0, DATA) == body
 
     assert run_ranks(2, fn, with_provider=False, timeout=20) == [reply, True]
+
+
+def test_crossing_rendezvous_transfers_fail_fast_on_both_ranks():
+    # each rank's RTS crosses the other's; a CTS would land where the
+    # peer's reader expects body bytes, so both ranks must fail, typed
+    body = os.urandom(200_000)
+
+    def fn(g):
+        peer = 1 - g.rank
+        h = g.isend(peer, DATA, body)
+        with pytest.raises(ConnectionLost) as recv_error:
+            g.recv(peer, DATA)
+        with pytest.raises(ConnectionLost):
+            h.wait(timeout=10)
+        return str(recv_error.value)
+
+    messages = run_ranks(2, fn, with_provider=False, timeout=20)
+    assert any("both directions" in m for m in messages)
+
+
+@pytest.mark.parametrize("posted", ["before_rts", "after_rts"])
+def test_matched_rendezvous_receive_fails_when_connection_dies(posted):
+    # rank 1 announces a body it never sends and drops the connection;
+    # rank 0's receive is already matched to that announcement
+    receive_posted = threading.Event()
+
+    def fn(g):
+        if g.rank == 0:
+            if posted == "before_rts":
+                h = g.irecv(1, DATA)
+                g.barrier()
+            else:
+                g.barrier()
+                deadline = time.monotonic() + 10
+                while (1, DATA) not in g._inbound and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                h = g.irecv(1, DATA)
+            receive_posted.set()
+            with pytest.raises(ConnectionLost):
+                h.wait(timeout=10)
+            return True
+        g.barrier()
+        conn = g._conns[0]
+        with conn.lock:
+            conn.write(HEADER.pack(MODE_RTS, 200_000, DATA))
+        assert receive_posted.wait(10)
+        g.close(synchronize=False)
+        return True
+
+    assert run_ranks(2, fn, with_provider=False, timeout=20) == [True, True]
+
+
+def test_eager_burst_arrives_intact_in_order_with_exact_byte_count():
+    # sizes around the 12-byte header, the 8 KiB read buffer and the
+    # eager threshold
+    sizes = [0, 1, 11, 12, 13, 8191, 8192, 8193, 131071]
+    bodies = [os.urandom(n) for n in sizes]
+
+    def fn(g):
+        if g.rank == 0:
+            g.recv(1, SYNC)  # rank 1 has read its byte counter
+            waitall([g.isend(1, DATA, b) for b in bodies], timeout=10)
+            g.recv(1, SYNC)  # ... and read it again
+            return None
+        before = g.bytes_received
+        g.send(0, SYNC, b"")
+        got = [g.recv(0, DATA) for _ in sizes]
+        received = g.bytes_received - before
+        g.send(0, SYNC, b"")
+        return got, received
+
+    got, received = run_ranks(2, fn, with_provider=False)[1]
+    assert got == bodies
+    assert received == sum(HEADER.size + n for n in sizes)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closing_groups_releases_every_descriptor():
+    run_ranks(2, lambda g: None, with_provider=False)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        run_ranks(2, lambda g: None, with_provider=False)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("size", [1000, 200_000])
+def test_isend_delivers_bytearray_and_memoryview_bodies(size):
+    data = os.urandom(size)
+    words = array.array("I", data[: size // 4 * 4])
+    bodies = [bytearray(data), memoryview(data), memoryview(data)[1:], memoryview(words)]
+    expected = [data, data, data[1:], words.tobytes()]
+
+    def fn(g):
+        if g.rank == 0:
+            for body in bodies:
+                g.send(1, DATA, body)
+            return None
+        return [g.recv(0, DATA) for _ in bodies]
+
+    assert run_ranks(2, fn, with_provider=False)[1] == expected
 
 
 def test_wait_on_completed_handle_returns_immediately():
