@@ -8,6 +8,7 @@ Summaries are plain text on stdout; machine output is CSV/JSON files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -113,7 +114,7 @@ def _load_parameter_set(args, flavor: str) -> ParameterSet:
                 f"unknown encrypt-decrypt preset {enc_name!r} "
                 f"(have: {', '.join(sorted(ENCDEC_PRESETS))})"
             )
-        ps = ps.with_encdec(ENCDEC_PRESETS[enc_name])
+        ps = dataclasses.replace(ps, encdec=ENCDEC_PRESETS[enc_name])
     return ps
 
 
@@ -266,7 +267,7 @@ def _print_line_table(rows: list[tuple[str, float, float]]) -> None:
 def cmd_fit(args) -> int:
     samples = read_samples_csv(args.input)
     if args.model == "hockney":
-        report = models.fit_hockney_report(samples, args.threshold)
+        report = models.fit_hockney(samples, args.threshold)
         p = report.params
         _print_line_table(
             [
@@ -280,7 +281,7 @@ def cmd_fit(args) -> int:
                   f"1-byte fallback applied")
         ps = ParameterSet(hockney=p)
     elif args.model == "encdec":
-        report = models.fit_encdec_line_report(samples)
+        report = models.fit_encdec_line(samples)
         p = report.params
         _print_line_table([("encdec", p.alpha_us, p.beta_us_per_byte)])
         if report.fallback:
@@ -360,7 +361,7 @@ def cmd_predict(args) -> int:
             size = args.size if args.size is not None else 2 * 1024 * 1024
             cls = ps.maxrate.class_params(size)
             est = models.overhead_multipair_slow(
-                ps.hockney.rendezvous.beta_us_per_byte,
+                ps.hockney.params_for(size).beta_us_per_byte,
                 cls,
                 k,
                 comm=ps.hockney,

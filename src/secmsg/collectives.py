@@ -83,16 +83,18 @@ def alltoall(g: ProcessGroup, sendbuf: list[bytes]) -> list[bytes]:
 
 
 def allgather(g: ProcessGroup, element: bytes) -> list[bytes]:
-    """Every rank ends up with [rank 0's element, ..., rank n-1's element]."""
-    result: list[bytes] = [b""] * g.size
-    result[g.rank] = bytes(element)
-    for peer in _ordered_peers(g):
-        received = _exchange(g, peer, element)
+    """Every rank ends up with [rank 0's element, ..., rank n-1's element].
+
+    Lengths are checked only after every exchange has completed, so a
+    mismatch raises ProtocolError on every rank instead of leaving a peer
+    blocked on an exchange that will never come.
+    """
+    result = alltoall(g, [element] * g.size)
+    for peer, received in enumerate(result):
         if len(received) != len(element):
             raise ProtocolError(
                 f"rank {peer} contributed {len(received)} bytes, expected {len(element)}"
             )
-        result[peer] = received
     return result
 
 

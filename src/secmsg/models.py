@@ -1,20 +1,23 @@
 """Latency models for encrypted point-to-point communication.
 
-Three model families live here, all in µs and bytes:
+All models are in µs and bytes.  Two of them are straight lines
+``T(m) = alpha + beta * m`` and share one type, ``HockneyParams``:
 
-* a two-phase linear latency model ``T(m) = alpha + beta * m`` with
-  separate (alpha, beta) for the eager and rendezvous protocol phases,
-  fitted by ordinary least squares on ping-pong measurements;
-* a single linear model for encrypt-then-decrypt cost, fitted the same
-  way on encrypt-decrypt benchmark measurements;
-* a multi-worker encryption model ``T(k, m) = alpha + k*m / (A + B*(k-1))``
-  with separate (alpha, A, B) per message-size class, fitted by bounded
-  nonlinear least squares with multiple starting points.
+* the communication line, with separate (alpha, beta) for the eager and
+  rendezvous protocol phases (``PhasedHockneyParams``), fitted by
+  ordinary least squares on ping-pong measurements;
+* the encrypt-then-decrypt line, fitted the same way on encrypt-decrypt
+  benchmark measurements.
+
+The third is a multi-worker encryption model
+``T(k, m) = alpha + k*m / (A + B*(k-1))`` with separate (alpha, A, B) per
+message-size class, fitted by bounded nonlinear least squares with
+multiple starting points.
 
 The encrypted single-flow model is the per-phase sum of the
-communication and encryption lines; the windowed multi-pair model is
-``max(T_enc(k,m)/2, T_comm(k,m)) + T_enc(k,m)/2`` where
-``T_comm(k, m) = alpha + beta * k * m``.  Large-message overhead
+communication and encryption lines, again a ``PhasedHockneyParams``; the
+windowed multi-pair model is ``max(T_enc(k,m)/2, T_comm(k,m)) + T_enc(k,m)/2``
+where ``T_comm(k, m) = alpha + beta * k * m``.  Large-message overhead
 estimators and the pipelined-transfer bound are derived from the same
 parameters.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import enum
 import json
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -70,7 +73,7 @@ def size_class_for(m: int) -> SizeClass:
 
 @dataclass(frozen=True)
 class HockneyParams:
-    """Fixed cost plus inverse-bandwidth slope for one protocol phase."""
+    """Fixed cost plus per-byte cost: one phase's communication line or the encrypt-decrypt line."""
 
     alpha_us: float
     beta_us_per_byte: float
@@ -85,6 +88,8 @@ class HockneyParams:
 
 @dataclass(frozen=True)
 class PhasedHockneyParams:
+    """One line per protocol phase, split at ``threshold_bytes``."""
+
     eager: HockneyParams
     rendezvous: HockneyParams
     threshold_bytes: int = DEFAULT_THRESHOLD
@@ -92,33 +97,6 @@ class PhasedHockneyParams:
     def __post_init__(self) -> None:
         if self.threshold_bytes <= 0:
             raise ValueError("threshold must be positive")
-
-    def params_for(self, m: int) -> HockneyParams:
-        return self.eager if phase_for(m, self.threshold_bytes) is Phase.EAGER else self.rendezvous
-
-
-@dataclass(frozen=True)
-class EncDecLineParams:
-    """Fixed cost plus per-byte rate of one encrypt-then-decrypt pass."""
-
-    alpha_us: float
-    beta_us_per_byte: float
-
-    def __post_init__(self) -> None:
-        if self.alpha_us < 0 or self.beta_us_per_byte < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-
-    def predict(self, m: float) -> float:
-        return self.alpha_us + self.beta_us_per_byte * m
-
-
-@dataclass(frozen=True)
-class EnhancedHockneyParams:
-    """Per-phase sums of communication and encryption line parameters."""
-
-    eager: HockneyParams
-    rendezvous: HockneyParams
-    threshold_bytes: int = DEFAULT_THRESHOLD
 
     def params_for(self, m: int) -> HockneyParams:
         return self.eager if phase_for(m, self.threshold_bytes) is Phase.EAGER else self.rendezvous
@@ -206,7 +184,7 @@ class HockneyFitReport:
     fallback_phases: frozenset[Phase]
 
 
-def fit_hockney_report(
+def fit_hockney(
     samples: Iterable[LatencySample], threshold: int = DEFAULT_THRESHOLD
 ) -> HockneyFitReport:
     """Least-squares fit of both protocol phases, with fit diagnostics.
@@ -233,37 +211,24 @@ def fit_hockney_report(
     return HockneyFitReport(params=params, fallback_phases=frozenset(fallbacks))
 
 
-def fit_hockney(
-    samples: Iterable[LatencySample], threshold: int = DEFAULT_THRESHOLD
-) -> PhasedHockneyParams:
-    return fit_hockney_report(samples, threshold).params
-
-
 @dataclass(frozen=True)
 class EncDecFitReport:
-    params: EncDecLineParams
+    params: HockneyParams
     fallback: bool
 
 
-def fit_encdec_line_report(samples: Iterable[LatencySample]) -> EncDecFitReport:
+def fit_encdec_line(samples: Iterable[LatencySample]) -> EncDecFitReport:
     """Single-line least squares on encrypt-decrypt latency over size."""
-    sample_list = list(samples)
-    alpha, beta, fallback = _fit_line(sample_list, "encrypt-decrypt")
-    return EncDecFitReport(params=EncDecLineParams(alpha, beta), fallback=fallback)
-
-
-def fit_encdec_line(samples: Iterable[LatencySample]) -> EncDecLineParams:
-    return fit_encdec_line_report(samples).params
+    alpha, beta, fallback = _fit_line(list(samples), "encrypt-decrypt")
+    return EncDecFitReport(params=HockneyParams(alpha, beta), fallback=fallback)
 
 
 # -- composition and evaluation -----------------------------------------
 
 
-def compose_enhanced(
-    comm: PhasedHockneyParams, enc: EncDecLineParams
-) -> EnhancedHockneyParams:
+def compose_enhanced(comm: PhasedHockneyParams, enc: HockneyParams) -> PhasedHockneyParams:
     """Per-phase exact sums of the communication and encryption lines."""
-    return EnhancedHockneyParams(
+    return PhasedHockneyParams(
         eager=HockneyParams(
             comm.eager.alpha_us + enc.alpha_us,
             comm.eager.beta_us_per_byte + enc.beta_us_per_byte,
@@ -276,14 +241,11 @@ def compose_enhanced(
     )
 
 
-def predict_single(
-    params: HockneyParams | EncDecLineParams | PhasedHockneyParams | EnhancedHockneyParams,
-    m: int,
-) -> float:
+def predict_single(params: HockneyParams | PhasedHockneyParams, m: int) -> float:
     """Latency in µs of one m-byte transfer under a line model."""
     if m < 0:
         raise ValueError("message size must be nonnegative")
-    if isinstance(params, (PhasedHockneyParams, EnhancedHockneyParams)):
+    if isinstance(params, PhasedHockneyParams):
         return params.params_for(m).predict(m)
     return params.predict(m)
 
@@ -321,7 +283,7 @@ def predict_multipair(
     return max(t_enc / 2.0, t_comm) + t_enc / 2.0
 
 
-def overhead_single_large(enc: EncDecLineParams, comm: HockneyParams) -> float:
+def overhead_single_large(enc: HockneyParams, comm: HockneyParams) -> float:
     """Large-message single-flow overhead: the ratio of the two slopes."""
     if comm.beta_us_per_byte <= 0:
         raise ValueError("communication slope must be positive")
@@ -362,7 +324,7 @@ def overhead_multipair_slow(
 
 
 def predict_pipelined(
-    comm: PhasedHockneyParams | HockneyParams, enc: EncDecLineParams, m: int
+    comm: PhasedHockneyParams | HockneyParams, enc: HockneyParams, m: int
 ) -> float:
     """Latency bound when encryption is pipelined with transmission."""
     if m <= 0:
@@ -505,15 +467,13 @@ def mean_latency_by_key(samples: Iterable[LatencySample]) -> dict[tuple[int, int
 
 
 def validate(
-    measured: Mapping[tuple[int, int], float] | Iterable[LatencySample],
+    measured: Mapping[tuple[int, int], float],
     predicted: Mapping[tuple[int, int], float],
 ) -> PredictionReport:
     """Relative error per (size, k) key plus per-size mean absolute error.
 
     Keys present on only one side are listed, not fatal.
     """
-    if not isinstance(measured, Mapping):
-        measured = mean_latency_by_key(measured)
     entries = []
     for key in sorted(set(measured) & set(predicted)):
         size, k = key
@@ -540,42 +500,12 @@ class ParameterSet:
     """The sections of one parameter document; any section may be absent."""
 
     hockney: PhasedHockneyParams | None = None
-    encdec: EncDecLineParams | None = None
+    encdec: HockneyParams | None = None
     maxrate: MaxRateParams | None = None
-
-    def with_encdec(self, enc: EncDecLineParams) -> "ParameterSet":
-        return replace(self, encdec=enc)
-
-
-def _line_to_dict(p: HockneyParams | EncDecLineParams) -> dict:
-    return {"alpha_us": p.alpha_us, "beta_us_per_byte": p.beta_us_per_byte}
-
-
-def _class_to_dict(p: MaxRateClassParams) -> dict:
-    return {
-        "alpha_us": p.alpha_us,
-        "a_bytes_per_us": p.a_bytes_per_us,
-        "b_bytes_per_us": p.b_bytes_per_us,
-    }
 
 
 def to_json_dict(ps: ParameterSet) -> dict:
-    doc: dict = {}
-    if ps.hockney is not None:
-        doc["hockney"] = {
-            "eager": _line_to_dict(ps.hockney.eager),
-            "rendezvous": _line_to_dict(ps.hockney.rendezvous),
-            "threshold_bytes": ps.hockney.threshold_bytes,
-        }
-    if ps.encdec is not None:
-        doc["encdec"] = _line_to_dict(ps.encdec)
-    if ps.maxrate is not None:
-        doc["maxrate"] = {
-            "small": _class_to_dict(ps.maxrate.small),
-            "moderate": _class_to_dict(ps.maxrate.moderate),
-            "large": _class_to_dict(ps.maxrate.large),
-        }
-    return doc
+    return {name: section for name, section in asdict(ps).items() if section is not None}
 
 
 def from_json_dict(doc: Mapping) -> ParameterSet:
@@ -587,7 +517,7 @@ def from_json_dict(doc: Mapping) -> ParameterSet:
             rendezvous=HockneyParams(**h["rendezvous"]),
             threshold_bytes=int(h.get("threshold_bytes", DEFAULT_THRESHOLD)),
         )
-    encdec = EncDecLineParams(**doc["encdec"]) if "encdec" in doc else None
+    encdec = HockneyParams(**doc["encdec"]) if "encdec" in doc else None
     maxrate = None
     if "maxrate" in doc:
         mr = doc["maxrate"]
@@ -616,11 +546,11 @@ def load_params(path: str) -> ParameterSet:
 # and the BoringSSL multi-worker surface; other encrypt-decrypt lines
 # are available in ENCDEC_PRESETS.
 
-ENCDEC_PRESETS: dict[str, EncDecLineParams] = {
-    "boringssl": EncDecLineParams(0.53, 6.90e-4),
-    "libsodium": EncDecLineParams(0.48, 16.3e-4),
-    "cryptopp-mpich": EncDecLineParams(5.51, 34.8e-4),
-    "cryptopp-mvapich": EncDecLineParams(5.16, 21.4e-4),
+ENCDEC_PRESETS: dict[str, HockneyParams] = {
+    "boringssl": HockneyParams(0.53, 6.90e-4),
+    "libsodium": HockneyParams(0.48, 16.3e-4),
+    "cryptopp-mpich": HockneyParams(5.51, 34.8e-4),
+    "cryptopp-mvapich": HockneyParams(5.16, 21.4e-4),
 }
 
 PINGPONG_HOCKNEY_PRESETS: dict[str, PhasedHockneyParams] = {

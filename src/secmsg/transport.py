@@ -337,7 +337,7 @@ class ProcessGroup:
                     raise StartupError(
                         f"rank {self.rank} cannot reach rank {peer} at {host}:{port}: {exc}"
                     ) from exc
-                time.sleep(0.05)
+                time.sleep(0.002)
 
     def _add_conn(self, peer: int, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

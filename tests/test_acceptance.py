@@ -100,14 +100,14 @@ def test_acceptance_4_fit_recovery_suite(capsys):
                 eager_sizes=synth.EAGER_LINE_SIZES,
                 rdv_sizes=[131072, 262144, 1048576, 2097152],
             )
-        )
+        ).params
         for phase in ("eager", "rendezvous"):
             got, true = getattr(fitted, phase), getattr(preset, phase)
             assert synth.rel_err(got.alpha_us, true.alpha_us) <= 1e-4, (name, phase)
             assert synth.rel_err(got.beta_us_per_byte, true.beta_us_per_byte) <= 1e-4
 
     for name, line in ENCDEC_PRESETS.items():
-        fitted_line = fit_encdec_line(synth.line_samples(line, synth.ENC_LINE_SIZES))
+        fitted_line = fit_encdec_line(synth.line_samples(line, synth.ENC_LINE_SIZES)).params
         assert synth.rel_err(fitted_line.alpha_us, line.alpha_us) <= 1e-4, name
         assert synth.rel_err(fitted_line.beta_us_per_byte, line.beta_us_per_byte) <= 1e-4
 
@@ -130,7 +130,7 @@ def test_acceptance_4_fit_recovery_suite(capsys):
         ) + synth.line_samples(
             preset.rendezvous, synth.RDV_FILLER_SIZES, reps=2, noise=0.05, rng=rng
         )
-        got = fit_hockney(eager_focus, 131072).eager
+        got = fit_hockney(eager_focus, 131072).params.eager
         assert synth.rel_err(got.alpha_us, preset.eager.alpha_us) <= 0.10, name
         assert synth.rel_err(got.beta_us_per_byte, preset.eager.beta_us_per_byte) <= 0.10
 
@@ -140,14 +140,14 @@ def test_acceptance_4_fit_recovery_suite(capsys):
         ) + synth.line_samples(
             preset.rendezvous, synth.RDV_LINE_SIZES, reps=8, noise=0.05, rng=rng
         )
-        got = fit_hockney(rdv_focus, synth.RDV_LINE_THRESHOLD).rendezvous
+        got = fit_hockney(rdv_focus, synth.RDV_LINE_THRESHOLD).params.rendezvous
         assert synth.rel_err(got.alpha_us, preset.rendezvous.alpha_us) <= 0.10, name
         assert synth.rel_err(got.beta_us_per_byte, preset.rendezvous.beta_us_per_byte) <= 0.10
 
     for name, line in ENCDEC_PRESETS.items():
         rng = random.Random(42)
         noisy = synth.line_samples(line, synth.ENC_LINE_SIZES, reps=8, noise=0.05, rng=rng)
-        got = fit_encdec_line(noisy)
+        got = fit_encdec_line(noisy).params
         assert synth.rel_err(got.alpha_us, line.alpha_us) <= 0.10, name
         assert synth.rel_err(got.beta_us_per_byte, line.beta_us_per_byte) <= 0.10
 

@@ -184,6 +184,14 @@ def test_predict_multipair_overhead_with_pairs(capsys):
     assert value == pytest.approx(6.04, abs=0.05)
 
 
+def test_predict_multipair_overhead_takes_slope_from_phase_of_size(capsys):
+    # 64 KiB is eager under the default threshold: beta is the eager 2.88e-4,
+    # so 1 / (2 * 2.88e-4 * (1502.21 + 7 * 1262.59)) = 16.79%
+    rc = main(["predict", "--mode", "overhead", "--preset", "ib", "--pairs", "8", "--size", "65536"])
+    assert rc == 0
+    assert "predicted overhead: 16.79%" in capsys.readouterr().out
+
+
 def test_predict_requires_sections(tmp_path, capsys):
     path = str(tmp_path / "only_enc.json")
     with open(path, "w") as fh:

@@ -2,6 +2,7 @@ import os
 import platform
 import resource
 import sys
+import threading
 
 import pytest
 
@@ -267,6 +268,25 @@ def test_plaintext_allgather_and_alltoallv():
     for rank, (gathered, varied) in enumerate(run_ranks(n, fn, with_provider=False)):
         assert gathered == [bytes([i]) * 4 for i in range(n)]
         assert varied == [bytes([i]) * 2 for i in range(n)]
+
+
+def test_allgather_unequal_lengths_fails_on_every_rank():
+    # rank 2 contributes 20 bytes, the others 10; the barrier keeps every
+    # group open until all ranks have left allgather, so a rank left
+    # blocked in recv is not released by a peer closing its connections
+    finished = threading.Barrier(3, timeout=10)
+
+    def fn(g):
+        try:
+            allgather(g, bytes(20 if g.rank == 2 else 10))
+        except ProtocolError:
+            raised = True
+        else:
+            raised = False
+        finished.wait()
+        return raised
+
+    assert run_ranks(3, fn, with_provider=False) == [True, True, True]
 
 
 @pytest.mark.skipif(

@@ -13,8 +13,6 @@ from secmsg.models import (
     MULTIPAIR_HOCKNEY_PRESETS,
     PINGPONG_HOCKNEY_PRESETS,
     PRESETS,
-    EncDecLineParams,
-    EnhancedHockneyParams,
     FitError,
     HockneyParams,
     MaxRateClassParams,
@@ -26,9 +24,7 @@ from secmsg.models import (
     compose_enhanced,
     eval_maxrate,
     fit_encdec_line,
-    fit_encdec_line_report,
     fit_hockney,
-    fit_hockney_report,
     fit_maxrate,
     from_json_dict,
     load_params,
@@ -102,7 +98,7 @@ def test_exact_line_recovered_to_1e9():
         eager_sizes=[1, 100, 5000, 60000],
         rdv_sizes=[131072, 300000, 2 * 1024 * 1024],
     )
-    fitted = fit_hockney(samples)
+    fitted = fit_hockney(samples).params
     assert synth.rel_err(fitted.eager.alpha_us, 10.0) <= 1e-9
     assert synth.rel_err(fitted.eager.beta_us_per_byte, 0.001) <= 1e-9
     assert synth.rel_err(fitted.rendezvous.alpha_us, 20.0) <= 1e-9
@@ -116,7 +112,7 @@ def test_negative_intercept_falls_back_to_one_byte_latency():
     eager = [LatencySample(m, 1, 0, -5.0 + 0.001 * m) for m in sizes]
     eager.append(LatencySample(1, 1, 0, 0.8))
     rdv = [LatencySample(m, 1, 0, 20.0 + 5e-4 * m) for m in (131072, 262144)]
-    report = fit_hockney_report(eager + rdv)
+    report = fit_hockney(eager + rdv)
 
     assert report.fallback_phases == frozenset({Phase.EAGER})
     assert report.params.eager.alpha_us == pytest.approx(0.8)
@@ -147,7 +143,7 @@ def test_noisy_ib_eager_recovered_within_10_percent():
     rng = random.Random(42)
     samples = synth.line_samples(IB.eager, synth.EAGER_LINE_SIZES, reps=8, noise=0.05, rng=rng)
     samples += synth.line_samples(IB.rendezvous, synth.RDV_FILLER_SIZES, reps=2, noise=0.05, rng=rng)
-    fitted = fit_hockney(samples)
+    fitted = fit_hockney(samples).params
     assert synth.rel_err(fitted.eager.alpha_us, 3.40) <= 0.10
     assert synth.rel_err(fitted.eager.beta_us_per_byte, 3.83e-4) <= 0.10
 
@@ -161,21 +157,21 @@ def test_multipair_samples_fit_against_k_times_m():
     samples += synth.line_samples(
         MULTIPAIR_HOCKNEY_PRESETS["ib"].rendezvous, [131072, 262144]
     )
-    fitted = fit_hockney(samples)
+    fitted = fit_hockney(samples).params
     assert synth.rel_err(fitted.eager.alpha_us, line.alpha_us) <= 1e-9
     assert synth.rel_err(fitted.eager.beta_us_per_byte, line.beta_us_per_byte) <= 1e-9
 
 
 def test_encdec_exact_line_boringssl_row():
     samples = synth.line_samples(BORINGSSL, synth.ENC_LINE_SIZES)
-    fitted = fit_encdec_line(samples)
+    fitted = fit_encdec_line(samples).params
     assert synth.rel_err(fitted.alpha_us, 0.53) <= 1e-9
     assert synth.rel_err(fitted.beta_us_per_byte, 6.90e-4) <= 1e-9
 
 
 def test_encdec_constant_samples_give_zero_slope():
     samples = [LatencySample(m, 1, 0, 7.5) for m in (1, 64, 1024, 65536)]
-    fitted = fit_encdec_line(samples)
+    fitted = fit_encdec_line(samples).params
     assert fitted.beta_us_per_byte == 0.0
     assert fitted.alpha_us == pytest.approx(7.5)
 
@@ -185,7 +181,7 @@ def test_encdec_noisy_libsodium_recovered_within_10_percent():
     samples = synth.line_samples(
         ENCDEC_PRESETS["libsodium"], synth.ENC_LINE_SIZES, reps=8, noise=0.05, rng=rng
     )
-    fitted = fit_encdec_line(samples)
+    fitted = fit_encdec_line(samples).params
     assert synth.rel_err(fitted.alpha_us, 0.48) <= 0.10
     assert synth.rel_err(fitted.beta_us_per_byte, 16.3e-4) <= 0.10
 
@@ -209,7 +205,7 @@ def test_compose_reproduces_worked_example_after_decimal_rounding():
 
 
 def test_compose_with_zero_encryption_is_identity():
-    zero = EncDecLineParams(0.0, 0.0)
+    zero = HockneyParams(0.0, 0.0)
     enhanced = compose_enhanced(ETH, zero)
     assert enhanced.eager == ETH.eager
     assert enhanced.rendezvous == ETH.rendezvous
@@ -222,7 +218,7 @@ def test_compose_commutes_as_addition():
         rendezvous=HockneyParams(BORINGSSL.alpha_us, BORINGSSL.beta_us_per_byte),
         threshold_bytes=IB.threshold_bytes,
     )
-    swapped_enc = EncDecLineParams(IB.eager.alpha_us, IB.eager.beta_us_per_byte)
+    swapped_enc = HockneyParams(IB.eager.alpha_us, IB.eager.beta_us_per_byte)
     b = compose_enhanced(swapped_comm, swapped_enc)
     assert a.eager.alpha_us == b.eager.alpha_us
     assert a.eager.beta_us_per_byte == b.eager.beta_us_per_byte
@@ -399,7 +395,7 @@ def test_overhead_single_large_discussion_values():
     assert ib == pytest.approx(2.2115, abs=1e-3)
     # exactly the ratio of the stored constants
     assert ib == 6.90e-4 / 3.12e-4
-    assert overhead_single_large(EncDecLineParams(1.0, 0.0), IB.rendezvous) == 0.0
+    assert overhead_single_large(HockneyParams(1.0, 0.0), IB.rendezvous) == 0.0
 
 
 def test_overhead_multipair_slow_worked_example():
@@ -454,7 +450,7 @@ def test_pipelined_encryption_bound_regime_is_about_120_percent():
 
 def test_pipelined_equal_costs():
     comm = PhasedHockneyParams(HockneyParams(1.0, 1e-4), HockneyParams(1.0, 1e-4))
-    enc = EncDecLineParams(1.0, 1e-4)
+    enc = HockneyParams(1.0, 1e-4)
     assert predict_pipelined(comm, enc, 5000) == predict_single(comm, 5000)
 
 
@@ -516,13 +512,18 @@ def test_parameter_file_round_trip(tmp_path):
     save_params(path, ps)
     with open(path) as fh:
         doc = json.load(fh)
-    assert doc["hockney"]["eager"] == {"alpha_us": 3.40, "beta_us_per_byte": 3.83e-4}
-    assert doc["hockney"]["threshold_bytes"] == 131072
-    assert doc["encdec"] == {"alpha_us": 0.53, "beta_us_per_byte": 6.90e-4}
-    assert doc["maxrate"]["large"] == {
-        "alpha_us": 3.44,
-        "a_bytes_per_us": 1502.21,
-        "b_bytes_per_us": 1262.59,
+    assert doc == {
+        "hockney": {
+            "eager": {"alpha_us": 3.40, "beta_us_per_byte": 3.83e-4},
+            "rendezvous": {"alpha_us": 7.17, "beta_us_per_byte": 3.12e-4},
+            "threshold_bytes": 131072,
+        },
+        "encdec": {"alpha_us": 0.53, "beta_us_per_byte": 6.90e-4},
+        "maxrate": {
+            "small": {"alpha_us": 1.8, "a_bytes_per_us": 888.5, "b_bytes_per_us": 0.0},
+            "moderate": {"alpha_us": 2.66, "a_bytes_per_us": 1764.0, "b_bytes_per_us": 4135.0},
+            "large": {"alpha_us": 3.44, "a_bytes_per_us": 1502.21, "b_bytes_per_us": 1262.59},
+        },
     }
     assert load_params(path) == ps
 
@@ -530,7 +531,7 @@ def test_parameter_file_round_trip(tmp_path):
 def test_partial_parameter_documents():
     ps = from_json_dict({"encdec": {"alpha_us": 1.0, "beta_us_per_byte": 2e-4}})
     assert ps.hockney is None and ps.maxrate is None
-    assert ps.encdec == EncDecLineParams(1.0, 2e-4)
+    assert ps.encdec == HockneyParams(1.0, 2e-4)
     assert to_json_dict(ps) == {"encdec": {"alpha_us": 1.0, "beta_us_per_byte": 2e-4}}
 
 
@@ -543,10 +544,10 @@ def test_presets_transcribe_calibration_tables():
     assert MULTIPAIR_HOCKNEY_PRESETS["ethernet"].rendezvous == HockneyParams(16.35, 8e-4)
     assert MULTIPAIR_HOCKNEY_PRESETS["ib"].eager == HockneyParams(1.02, 2.88e-4)
     assert MULTIPAIR_HOCKNEY_PRESETS["ib"].rendezvous == HockneyParams(2.38, 2.78e-4)
-    assert ENCDEC_PRESETS["boringssl"] == EncDecLineParams(0.53, 6.90e-4)
-    assert ENCDEC_PRESETS["libsodium"] == EncDecLineParams(0.48, 16.3e-4)
-    assert ENCDEC_PRESETS["cryptopp-mpich"] == EncDecLineParams(5.51, 34.8e-4)
-    assert ENCDEC_PRESETS["cryptopp-mvapich"] == EncDecLineParams(5.16, 21.4e-4)
+    assert ENCDEC_PRESETS["boringssl"] == HockneyParams(0.53, 6.90e-4)
+    assert ENCDEC_PRESETS["libsodium"] == HockneyParams(0.48, 16.3e-4)
+    assert ENCDEC_PRESETS["cryptopp-mpich"] == HockneyParams(5.51, 34.8e-4)
+    assert ENCDEC_PRESETS["cryptopp-mvapich"] == HockneyParams(5.16, 21.4e-4)
     assert MAXRATE_PRESET.small == MaxRateClassParams(1.8, 888.5, 0.0)
     assert MAXRATE_PRESET.moderate == MaxRateClassParams(2.66, 1764.0, 4135.0)
     assert MAXRATE_PRESET.large == MaxRateClassParams(3.44, 1502.21, 1262.59)
