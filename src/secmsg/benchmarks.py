@@ -28,14 +28,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import collectives
-from .aead import AeadProvider, create_provider
+from .aead import DEFAULT_BACKEND, create_provider
 from .transport import ProcessGroup
 
 _ELAPSED = struct.Struct("<d")
 
 DATA_TAG = 0x00500001
 REPLY_TAG = 0x00500002
-STATS_TAG = 0x00500003
 
 PINGPONG_ROUNDS_SMALL = 10_000
 PINGPONG_ROUNDS_LARGE = 1_000
@@ -163,14 +162,6 @@ def run_until_stable(
     return _build_result(latencies, reason, z, message_size, k_pairs)
 
 
-_STOP_FLAGS = {
-    StopReason.STDDEV_OK: b"\x01",
-    StopReason.CI_OK: b"\x02",
-    StopReason.BUDGET: b"\x03",
-}
-_FLAG_REASONS = {v: k for k, v in _STOP_FLAGS.items()}
-
-
 def run_until_stable_group(
     g: ProcessGroup,
     measure: Callable[[], float],
@@ -182,23 +173,20 @@ def run_until_stable_group(
     """Group-synchronous stopping: rank 0's latencies drive the rule.
 
     Every rank must call this with the same arguments; after each run
-    rank 0 broadcasts whether to continue, so all ranks take the same
-    number of runs.  Each rank's result holds its own local samples with
-    the shared stop reason; ranks that only observed (all-zero local
-    latencies, e.g. idle ranks of a small pair count) get None.
+    rank 0 broadcasts its stop reason (empty to continue), so all ranks
+    take the same number of runs.  Each rank's result holds its own local
+    samples with the shared stop reason; ranks that only observed
+    (all-zero local latencies, e.g. idle ranks of a small pair count) get
+    None.
     """
     z = _z_for(policy.ci_level)
     latencies: list[float] = []
     reason: StopReason | None = None
     while reason is None:
         latencies.append(float(measure()))
-        if g.rank == 0:
-            decision = _stop_decision(latencies, policy, z)
-            flag = _STOP_FLAGS.get(decision, b"\x00")
-            collectives.bcast(g, 0, flag)
-        else:
-            flag = collectives.bcast(g, 0)
-        reason = _FLAG_REASONS.get(flag)
+        decision = _stop_decision(latencies, policy, z) if g.rank == 0 else None
+        verdict = collectives.bcast(g, 0, decision.value.encode() if decision else b"")
+        reason = StopReason(verdict.decode()) if verdict else None
     if all(lat <= 0 for lat in latencies):
         return None
     return _build_result(latencies, reason, z, message_size, k_pairs)
@@ -346,14 +334,10 @@ def multipair(
     g.barrier()
 
     # rank 0 aggregates the senders' elapsed times; slowest pair wins
+    gathered = collectives.allgather(g, _ELAPSED.pack(elapsed))
     if g.rank == 0:
-        elapsed_by_rank = [elapsed]
-        for r in range(1, g.size):
-            (other,) = _ELAPSED.unpack(g.recv(r, STATS_TAG))
-            elapsed_by_rank.append(other)
-        slowest = max(elapsed_by_rank[r] for r in range(k))
+        slowest = max(_ELAPSED.unpack(gathered[r])[0] for r in range(k))
         return slowest * 1e6 / iterations
-    g.send(0, STATS_TAG, _ELAPSED.pack(elapsed))
     return elapsed * 1e6 / iterations if participating else 0.0
 
 
@@ -362,9 +346,8 @@ def encdec_bench(
     iterations: int,
     *,
     threads: int = 1,
-    backend: str = "aes-gcm",
+    backend: str = DEFAULT_BACKEND,
     key: bytes | None = None,
-    provider_factory: Callable[[], AeadProvider] | None = None,
     warmup: int | None = None,
     payload_seed: int | None = None,
 ) -> float:
@@ -379,9 +362,7 @@ def encdec_bench(
         raise ValueError("iterations must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if provider_factory is None:
-        key_bytes = key if key is not None else bytes(32)
-        provider_factory = lambda: create_provider(backend, key_bytes)  # noqa: E731
+    key_bytes = key if key is not None else bytes(32)
     warmup = _warmup_rounds(iterations) if warmup is None else warmup
 
     # the barrier action runs before any worker is released, so the clock
@@ -394,7 +375,7 @@ def encdec_bench(
 
     def worker() -> None:
         try:
-            provider = provider_factory()
+            provider = create_provider(backend, key_bytes)
             buf = _payload(size, payload_seed)
             for _ in range(warmup):
                 provider.open(provider.seal(buf))

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import benchmarks, models
-from .aead import IntegrityError, ProviderError, SecretKey, available_backends, create_provider
+from .aead import DEFAULT_BACKEND, IntegrityError, ProviderError, SecretKey, available_backends, create_provider
 from .benchmarks import (
     BenchmarkResult,
     ENCDEC_ITERATIONS,
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("kind", choices=["pingpong", "multipair", "encdec", "collective"])
     bench.add_argument("--roster", help="roster file of 'rank host port' lines")
     bench.add_argument("--rank", type=int, help="this process's rank")
-    bench.add_argument("--backend", default="aes-gcm", choices=available_backends())
+    bench.add_argument("--backend", default=DEFAULT_BACKEND, choices=available_backends())
     bench.add_argument("--key", help="hex AEAD key (env SECMSG_KEY overrides)")
     bench.add_argument("--sizes", type=_int_list, default=[1024], help="comma list of bytes")
     bench.add_argument("--pairs", type=_int_list, default=[1], help="comma list of pair counts")

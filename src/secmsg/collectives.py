@@ -2,12 +2,17 @@
 collective, open every incoming element.
 
 The plaintext collectives are deliberately simple: broadcast walks a
-binomial tree and the all-to-all style operations do a rank-ordered
-pairwise exchange (the lower rank of each pair sends first).  The
-ordering keeps rendezvous handshakes strictly sequential per connection:
-the transport reads a rendezvous body straight after its RTS header, so a
-connection must not carry rendezvous transfers in both directions at once
-(if it does, both ranks fail with ``ConnectionLost``).
+binomial tree, and ``alltoall`` is the one pairwise exchange.  It is
+rank-ordered (the lower rank of each pair sends first), which keeps
+rendezvous handshakes strictly sequential per connection: the transport
+reads a rendezvous body straight after its RTS header, so a connection
+must not carry rendezvous transfers in both directions at once (if it
+does, both ranks fail with ``ConnectionLost``).  ``allgather``
+runs ``alltoall`` and then checks the contributed lengths; ``alltoallv``
+allgathers every rank's length vectors, checks the whole geometry and
+then runs ``alltoall``.  Both check only after an exchange has completed
+on every rank, so every rank sees the same lengths and reaches the same
+verdict.
 
 Self-addressed elements bypass the wire but are still sealed and opened,
 so every rank performs exactly ``n`` seal calls and ``n`` open calls in
@@ -19,14 +24,9 @@ from __future__ import annotations
 import struct
 
 from .aead import AeadProvider, Frame, FRAME_OVERHEAD, IntegrityError
-from .transport import (
-    COLLECTIVE_META_TAG,
-    COLLECTIVE_TAG,
-    ProcessGroup,
-    TransportError,
-)
+from .transport import COLLECTIVE_TAG, ProcessGroup, TransportError
 
-_LEN = struct.Struct("<I")
+_U32_MAX = 0xFFFFFFFF
 
 
 class ProtocolError(TransportError):
@@ -41,44 +41,29 @@ class CollectiveIntegrityError(IntegrityError):
         self.source_rank = source_rank
 
 
-def displacements(lengths: list[int], element_overhead: int = 0) -> list[int]:
-    """Byte offset of each element in a packed buffer.
-
-    With ``element_overhead`` set to the frame expansion, these are the
-    displacements of the encrypted buffer: element i starts at
-    sum(lengths[j] + overhead for j < i).
-    """
-    offsets = []
-    pos = 0
-    for length in lengths:
-        offsets.append(pos)
-        pos += length + element_overhead
-    return offsets
-
-
-def _ordered_peers(g: ProcessGroup) -> list[int]:
-    return [p for p in range(g.size) if p != g.rank]
-
-
-def _exchange(g: ProcessGroup, peer: int, payload: bytes, tag: int = COLLECTIVE_TAG) -> bytes:
+def _exchange(g: ProcessGroup, peer: int, payload: bytes) -> bytes:
     # lower rank sends first; the higher receives first, so the pair
     # never has two rendezvous handshakes crossing on one connection
     if g.rank < peer:
-        g.send(peer, tag, payload)
-        return g.recv(peer, tag)
-    received = g.recv(peer, tag)
-    g.send(peer, tag, payload)
+        g.send(peer, COLLECTIVE_TAG, payload)
+        return g.recv(peer, COLLECTIVE_TAG)
+    received = g.recv(peer, COLLECTIVE_TAG)
+    g.send(peer, COLLECTIVE_TAG, payload)
     return received
 
 
 def alltoall(g: ProcessGroup, sendbuf: list[bytes]) -> list[bytes]:
-    """Each rank i receives sendbuf[i] of every rank; pairwise exchange."""
+    """Each rank i receives sendbuf[i] of every rank; pairwise exchange.
+
+    The self slot of the result is the caller's own ``sendbuf[g.rank]``
+    object, not a copy.
+    """
     if len(sendbuf) != g.size:
         raise ValueError(f"sendbuf must have {g.size} elements, got {len(sendbuf)}")
-    recvbuf: list[bytes] = [b""] * g.size
-    recvbuf[g.rank] = bytes(sendbuf[g.rank])
-    for peer in _ordered_peers(g):
-        recvbuf[peer] = _exchange(g, peer, sendbuf[peer])
+    recvbuf = list(sendbuf)
+    for peer in range(g.size):
+        if peer != g.rank:
+            recvbuf[peer] = _exchange(g, peer, sendbuf[peer])
     return recvbuf
 
 
@@ -126,38 +111,34 @@ def bcast(g: ProcessGroup, root: int, body: bytes | None = None) -> bytes:
     return data
 
 
+def _check_arguments(n: int, sendbuf: list[bytes], recv_lengths: list[int]) -> None:
+    if len(sendbuf) != n or len(recv_lengths) != n:
+        raise ValueError(f"sendbuf and recv_lengths must each have {n} elements")
+    if not all(0 <= length <= _U32_MAX for length in recv_lengths):
+        raise ValueError(f"recv_lengths must be in [0, {_U32_MAX}]")
+
+
 def alltoallv(g: ProcessGroup, sendbuf: list[bytes], recv_lengths: list[int]) -> list[bytes]:
     """Variable-length all-to-all.
 
     ``recv_lengths[i]`` is the number of bytes this rank expects from
-    rank i.  Length vectors are exchanged and validated before any data
-    moves; a mismatch raises ProtocolError.
+    rank i.  Every rank first gathers every rank's send and receive
+    length vectors and checks the whole n x n geometry, so a mismatch
+    anywhere raises ProtocolError on every rank before any data moves.
     """
     n = g.size
-    if len(sendbuf) != n or len(recv_lengths) != n:
-        raise ValueError(f"sendbuf and recv_lengths must each have {n} elements")
-    if len(sendbuf[g.rank]) != recv_lengths[g.rank]:
-        raise ProtocolError(
-            f"self element is {len(sendbuf[g.rank])} bytes but "
-            f"{recv_lengths[g.rank]} expected"
-        )
-    # complete every announcement before validating any of them, so no
-    # rank aborts while a peer is still mid-handshake
-    announced: dict[int, int] = {}
-    for peer in _ordered_peers(g):
-        raw = _exchange(g, peer, _LEN.pack(len(sendbuf[peer])), tag=COLLECTIVE_META_TAG)
-        (announced[peer],) = _LEN.unpack(raw)
-    for peer in _ordered_peers(g):
-        if announced[peer] != recv_lengths[peer]:
-            raise ProtocolError(
-                f"rank {peer} will send {announced[peer]} bytes but "
-                f"{recv_lengths[peer]} expected"
-            )
-    recvbuf: list[bytes] = [b""] * n
-    recvbuf[g.rank] = bytes(sendbuf[g.rank])
-    for peer in _ordered_peers(g):
-        recvbuf[peer] = _exchange(g, peer, sendbuf[peer])
-    return recvbuf
+    _check_arguments(n, sendbuf, recv_lengths)
+    lengths = struct.Struct(f"<{2 * n}I")
+    mine = lengths.pack(*(len(element) for element in sendbuf), *recv_lengths)
+    rows = [lengths.unpack(row) for row in allgather(g, mine)]
+    for src in range(n):
+        for dst in range(n):
+            if rows[src][dst] != rows[dst][n + src]:
+                raise ProtocolError(
+                    f"rank {src} will send {rows[src][dst]} bytes to rank {dst}, "
+                    f"which expects {rows[dst][n + src]}"
+                )
+    return alltoall(g, sendbuf)
 
 
 def _seal_all(provider: AeadProvider, elements: list[bytes]) -> list[bytes]:
@@ -216,11 +197,10 @@ def encrypted_alltoallv(
     """Variable-length encrypted all-to-all.
 
     Encrypted elements are each 28 bytes longer than their plaintext, so
-    the wire-level length vector (and any packed-buffer displacement) is
-    recomputed with the frame expansion added per element.
+    the wire-level length vector is recomputed with the frame expansion
+    added per element.
     """
-    if len(sendbuf) != g.size or len(recv_lengths) != g.size:
-        raise ValueError(f"sendbuf and recv_lengths must each have {g.size} elements")
+    _check_arguments(g.size, sendbuf, recv_lengths)
     enc_sendbuf = _seal_all(provider, sendbuf)
     enc_recv_lengths = [length + FRAME_OVERHEAD for length in recv_lengths]
     enc_recvbuf = alltoallv(g, enc_sendbuf, enc_recv_lengths)

@@ -61,7 +61,6 @@ DEFAULT_THRESHOLD = 131072  # plaintext bytes; at or above goes rendezvous
 RESERVED_TAG_BASE = 0xFFFFFFF0
 BARRIER_TAG = 0xFFFFFFFF
 COLLECTIVE_TAG = 0xFFFFFFFE
-COLLECTIVE_META_TAG = 0xFFFFFFFD
 
 _MAX_BODY = 0xFFFFFFFF
 

@@ -1,7 +1,13 @@
+import os
 import socket
 import threading
 
 import pytest
+
+# child processes (the acceptance tests run `python -m secmsg.cli`) do not
+# see pytest's in-process `pythonpath`; hand them this checkout's src
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 from secmsg.aead import create_provider
 from secmsg.transport import ProcessGroup, StartupError

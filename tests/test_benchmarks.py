@@ -209,6 +209,16 @@ def test_multipair_group_must_host_pairs():
     assert run_ranks(2, fn) == [True, True]
 
 
+def test_multipair_rank0_reports_slowest_sender_and_idle_ranks_zero():
+    def fn(g):
+        return bm.multipair(g, 1, 64, 3), bm.multipair(g, 2, 64, 3)
+
+    one, two = zip(*run_ranks(4, fn))
+    assert one[0] > 0 and one[1] > 0  # sender and its partner
+    assert one[2:] == (0.0, 0.0)  # ranks 2 and 3 host no pair when k = 1
+    assert two[0] >= two[1] > 0  # rank 0 takes the max over senders 0 and 1
+
+
 def test_multipair_two_pair_aggregate_throughput_holds_up():
     # interleaved repeated runs; the median of paired ratios absorbs
     # one-off scheduler stalls and common-mode drift

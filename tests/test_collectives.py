@@ -15,7 +15,6 @@ from secmsg.collectives import (
     alltoallv,
     allgather,
     bcast,
-    displacements,
     encrypted_allgather,
     encrypted_alltoall,
     encrypted_alltoallv,
@@ -48,16 +47,6 @@ class RecordingProvider:
 def alltoall_oracle(sendbufs, rank):
     """recvbuf[i] at ``rank`` is what rank i addressed to ``rank``."""
     return [sendbufs[src][rank] for src in range(len(sendbufs))]
-
-
-def test_displacements_with_frame_overhead():
-    lengths = [0, 1, 5, 300]
-    plain = displacements(lengths)
-    assert plain == [0, 0, 1, 6]
-    enc = displacements(lengths, FRAME_OVERHEAD)
-    # element i starts at sum of (length + 28) over the earlier elements
-    expected = [sum(lengths[j] + 28 for j in range(i)) for i in range(len(lengths))]
-    assert enc == expected
 
 
 def test_single_rank_degenerate_collectives():
@@ -247,13 +236,66 @@ def test_alltoallv_inconsistent_lengths_fails_before_data():
         data_bytes_before = g.bytes_sent
         with pytest.raises(ProtocolError, match="rank"):
             encrypted_alltoallv(g, g.provider, sendbuf, recv_lengths)
-        # only the 4-byte length announcements moved, no element data
+        # only the length vectors moved, no element data
         meta_traffic = g.bytes_sent - data_bytes_before
         return meta_traffic
 
     wait = run_ranks(2, fn)
     for meta in wait:
-        assert meta <= 16  # one header plus a u32 per peer
+        assert meta == 12 + 8 * 2  # one header plus 2n u32s
+
+
+@pytest.mark.parametrize("wrong_about", ["from_peer", "self"])
+def test_alltoallv_one_sided_mismatch_fails_on_every_rank(wrong_about):
+    # rank 0 alone is wrong about one element: rank 1's in one case, its
+    # own in the other, so no peer sees it in the lengths it is sent; the
+    # barrier keeps every group open until all ranks have left alltoallv,
+    # so a rank left blocked in recv is not released by a peer closing
+    n = 3
+    finished = threading.Barrier(n, timeout=10)
+    sendbufs = [[bytes([src]) * (src + dst + 1) for dst in range(n)] for src in range(n)]
+
+    def fn(g):
+        recv_lengths = [src + g.rank + 1 for src in range(n)]
+        if g.rank == 0:
+            recv_lengths[1 if wrong_about == "from_peer" else 0] += 1
+        try:
+            alltoallv(g, sendbufs[g.rank], recv_lengths)
+        except ProtocolError as exc:
+            verdict = str(exc)
+        else:
+            verdict = None
+        finished.wait()
+        return verdict
+
+    verdicts = run_ranks(n, fn, with_provider=False, timeout=20)
+    assert verdicts[0] is not None
+    assert verdicts == [verdicts[0]] * n
+
+
+@pytest.mark.parametrize("bad", [-1, -FRAME_OVERHEAD, 1 << 32])
+def test_alltoallv_recv_length_outside_u32_fails_before_sending(bad):
+    def fn(g):
+        before = g.bytes_sent
+        for call in (alltoallv, lambda g, *a: encrypted_alltoallv(g, g.provider, *a)):
+            with pytest.raises(ValueError):
+                call(g, [b"", b""], [0, bad] if g.rank == 0 else [bad, 0])
+        return g.bytes_sent - before
+
+    assert run_ranks(2, fn) == [0, 0]
+
+
+def test_alltoall_self_slot_is_the_callers_object():
+    def fn(g):
+        sendbuf = [bytearray([g.rank, peer]) for peer in range(g.size)]
+        received = alltoall(g, sendbuf)
+        assert received[g.rank] is sendbuf[g.rank]
+        return [bytes(element) for element in received]
+
+    assert run_ranks(2, fn, with_provider=False) == [
+        [bytes([0, 0]), bytes([1, 0])],
+        [bytes([0, 1]), bytes([1, 1])],
+    ]
 
 
 def test_plaintext_allgather_and_alltoallv():
