@@ -24,16 +24,11 @@ import statistics
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from . import collectives
 from .aead import DEFAULT_BACKEND, create_provider
 from .transport import ProcessGroup
-
-if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
-    from multiprocessing.process import BaseProcess
-    from multiprocessing.synchronize import Barrier
 
 _ELAPSED = struct.Struct("<d")
 
@@ -346,67 +341,35 @@ def multipair(
     return elapsed * 1e6 / iterations if participating else 0.0
 
 
+_start_line = None  # set in each encdec_bench pool worker by _encdec_init
+
+
+def _encdec_init(start_line) -> None:
+    global _start_line
+    _start_line = start_line
+
+
 def _encdec_worker(
-    report: Connection,
-    start_line: Barrier,
     size: int,
     iterations: int,
     warmup: int,
     backend: str,
     key: bytes,
     payload_seed: int | None,
-) -> None:
-    """One ``encdec_bench`` worker process; reports ``(start, end)`` or its error."""
-    try:
-        provider = create_provider(backend, key)
-        buf = _payload(size, payload_seed)
-        began = time.perf_counter()
-        for _ in range(warmup):
-            provider.open(provider.seal(buf))
-        # every peer does the same warm-up, so one that is not at the line
-        # within twice this worker's own warm-up (plus start-up slack) is stuck
-        start_line.wait(ENCDEC_START_LINE_SLACK_S + 2 * (time.perf_counter() - began))
-        start = time.perf_counter()
-        for _ in range(iterations):
-            provider.open(provider.seal(buf))
-        outcome: tuple[float, float] | Exception = (start, time.perf_counter())
-    except Exception as exc:  # re-raised in the caller with its own type
-        outcome = exc
-    report.send(outcome)
-    report.close()
-
-
-def _encdec_windows(workers: list[tuple[BaseProcess, Connection]]) -> list[tuple[float, float]]:
-    """Each worker's timed window, in arrival order; raises on the first failure.
-
-    Waits on every result pipe and every process sentinel at once, so a
-    worker that fails or dies is noticed while its peers still run.
-    """
-    from multiprocessing.connection import wait
-
-    pending: dict[object, tuple[BaseProcess, Connection]] = {}
-    for proc, reader in workers:
-        pending[reader] = pending[proc.sentinel] = (proc, reader)
-    windows: list[tuple[float, float]] = []
-    while pending:
-        for ready in wait(list(pending)):
-            if ready not in pending:
-                continue  # its pipe and its sentinel were both ready
-            proc, reader = pending.pop(ready)
-            pending.pop(reader, None)
-            pending.pop(proc.sentinel, None)
-            try:
-                outcome = reader.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"encdec worker {proc.pid} exited with code {proc.exitcode} "
-                    "before reporting a result"
-                ) from None
-            if isinstance(outcome, Exception):
-                raise outcome
-            windows.append(outcome)
-    return windows
+) -> tuple[float, float]:
+    """One ``encdec_bench`` worker's timed window, ``(start, end)``."""
+    provider = create_provider(backend, key)
+    buf = _payload(size, payload_seed)
+    began = time.perf_counter()
+    for _ in range(warmup):
+        provider.open(provider.seal(buf))
+    # every peer does the same warm-up, so one that is not at the line
+    # within twice this worker's own warm-up (plus start-up slack) is stuck
+    _start_line.wait(ENCDEC_START_LINE_SLACK_S + 2 * (time.perf_counter() - began))
+    start = time.perf_counter()
+    for _ in range(iterations):
+        provider.open(provider.seal(buf))
+    return start, time.perf_counter()
 
 
 def encdec_bench(
@@ -422,12 +385,12 @@ def encdec_bench(
     """One encrypt-then-decrypt experiment; returns µs per round.
 
     ``threads`` workers each seal and open a ``size``-byte buffer
-    ``iterations`` times.  Every worker is its own OS process (started
-    with ``spawn``, whatever the global start method) with its own
-    provider and payload, so k workers run AES-GCM in parallel instead of
-    taking turns on one interpreter lock; one worker is measured the same
-    way.  A round is one seal+open on each worker, so the reported latency
-    is wall time / iterations.
+    ``iterations`` times.  The workers are a ``spawn`` process pool
+    (whatever the global start method), each with its own provider and
+    payload, so k workers run AES-GCM in parallel instead of taking turns
+    on one interpreter lock; one worker is measured the same way.  A
+    round is one seal+open on each worker, so the reported latency is
+    wall time / iterations.
 
     Each worker runs its warm-up rounds, waits at a shared start line
     (with a timeout), and reads ``time.perf_counter()`` right after the
@@ -435,8 +398,8 @@ def encdec_bench(
     start to the latest end, so process start-up and exit are not timed.
     A worker's exception is re-raised here with its own type (an unknown
     ``backend`` raises ``ProviderError``), a worker that dies raises
-    ``RuntimeError``, and every worker process is joined before this
-    returns or raises.
+    ``RuntimeError`` (``BrokenProcessPool``), and every worker process is
+    joined before this returns or raises.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -446,36 +409,33 @@ def encdec_bench(
     warmup = _warmup_rounds(iterations) if warmup is None else warmup
 
     # imported here, not at the top: every rank imports this module, and
-    # multiprocessing would add to its start-up for nothing
+    # these would add to its start-up for nothing
     import multiprocessing
+    from concurrent import futures
 
     ctx = multiprocessing.get_context("spawn")
     start_line = ctx.Barrier(threads)
-    workers: list[tuple[BaseProcess, Connection]] = []
-    try:
-        for _ in range(threads):
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_encdec_worker,
-                args=(writer, start_line, size, iterations, warmup, backend, key_bytes, payload_seed),
-                daemon=True,
-            )
-            workers.append((proc, reader))
-            try:
-                proc.start()
-            finally:
-                writer.close()  # the worker's end; EOF here once the worker is gone
-        windows = _encdec_windows(workers)
-    except BaseException:
-        for proc, _ in workers:
-            if proc.pid is not None:
-                proc.kill()
-        raise
-    finally:
-        for proc, reader in workers:
-            if proc.pid is not None:
-                proc.join()
-            reader.close()
+    with futures.ProcessPoolExecutor(
+        threads, mp_context=ctx, initializer=_encdec_init, initargs=(start_line,)
+    ) as pool:
+        runs = [
+            pool.submit(_encdec_worker, size, iterations, warmup, backend, key_bytes, payload_seed)
+            for _ in range(threads)
+        ]
+        # submit() wakes the pool's manager thread before it starts a
+        # worker, so the last worker could die unnoticed until the start
+        # line times out; one more (no-op) submit makes it watch them all
+        pool.submit(int)
+        done, _ = futures.wait(runs, return_when=futures.FIRST_EXCEPTION)
+        for run in done:
+            error = run.exception()
+            if error is not None:
+                # release the peers still at the line; a broken pool has
+                # already terminated them, and abort() could then block
+                if not isinstance(error, futures.BrokenExecutor):
+                    start_line.abort()
+                raise error
+        windows = [run.result() for run in runs]
     start = min(s for s, _ in windows)
     end = max(e for _, e in windows)
     return (end - start) * 1e6 / iterations

@@ -8,9 +8,11 @@ Summaries are plain text on stdout; machine output is CSV/JSON files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
+from functools import partial
 
 from . import benchmarks, models
 from .aead import DEFAULT_BACKEND, IntegrityError, ProviderError, SecretKey, available_backends, create_provider
@@ -151,108 +153,82 @@ def _open_group(args, *, encrypted: bool) -> ProcessGroup:
     )
 
 
+def _scaled(count: int, args) -> int:
+    return max(1, round(count * args.scale))
+
+
+def _traffic(args) -> dict:
+    return {"encrypted": not args.plaintext, "payload_seed": args.seed}
+
+
+def _encdec_points(args, g):
+    iterations = _scaled(ENCDEC_ITERATIONS, args)
+    key = _resolve_key(args).data
+    for size in args.sizes:
+        for k in args.threads:
+            measure = partial(
+                benchmarks.encdec_bench, size, iterations,
+                threads=k, backend=args.backend, key=key, payload_seed=args.seed,
+            )
+            yield size, k, measure, 1
+
+
+def _pingpong_points(args, g):
+    for size in args.sizes:
+        rounds = benchmarks.default_pingpong_rounds(size, args.scale)
+        yield size, 1, partial(benchmarks.pingpong, g, size, rounds, **_traffic(args)), 1
+
+
+def _multipair_points(args, g):
+    iterations = _scaled(MULTIPAIR_ITERATIONS, args)
+    for size in args.sizes:
+        for k in args.pairs:
+            # one sample is a window of MULTIPAIR_WINDOW messages on each of k pairs
+            measure = partial(benchmarks.multipair, g, k, size, iterations, **_traffic(args))
+            yield size, k, measure, MULTIPAIR_WINDOW * k
+
+
+def _collective_points(args, g):
+    iterations = _scaled(COLLECTIVE_ITERATIONS, args)
+    for size in args.sizes:
+        measure = partial(benchmarks.collective_bench, g, args.op, size, iterations, **_traffic(args))
+        yield size, g.size, measure, 1
+
+
+# kind -> generator of (size, k, measure, throughput multiplier), one per
+# point in sweep order; encdec runs on this host alone, so its group is None
+BENCH_POINTS = {
+    "pingpong": _pingpong_points,
+    "multipair": _multipair_points,
+    "encdec": _encdec_points,
+    "collective": _collective_points,
+}
+
+
 def cmd_bench(args) -> int:
-    encrypted = not args.plaintext
+    local = args.kind == "encdec"
+    policy = _stop_policy(args, min_runs=benchmarks.ENCDEC_STOP_POLICY.min_runs if local else None)
+    group = contextlib.nullcontext() if local else _open_group(args, encrypted=not args.plaintext)
     collected: list[LatencySample] = []
     lines: list[str] = []
-
-    if args.kind == "encdec":
-        policy = _stop_policy(args, min_runs=benchmarks.ENCDEC_STOP_POLICY.min_runs)
-        iterations = max(1, round(ENCDEC_ITERATIONS * args.scale))
-        key = _resolve_key(args)
-        for size in args.sizes:
-            for k in args.threads:
-                res = benchmarks.run_until_stable(
-                    lambda: benchmarks.encdec_bench(
-                        size,
-                        iterations,
-                        threads=k,
-                        backend=args.backend,
-                        key=key.data,
-                        payload_seed=args.seed,
-                    ),
-                    policy,
-                    message_size=size,
-                    k_pairs=k,
-                )
+    with group as g:
+        reporting = local or g.rank == 0
+        run = benchmarks.run_until_stable if local else partial(benchmarks.run_until_stable_group, g)
+        for size, k, measure, multiplier in BENCH_POINTS[args.kind](args, g):
+            res = run(measure, policy, message_size=size, k_pairs=k)
+            if reporting and res is not None:
                 collected.extend(res.samples)
-                mbps = benchmarks.throughput(size, res.mean) if size > 0 else None
+                mbps = benchmarks.throughput(size, res.mean) * multiplier if size > 0 else None
                 lines.append(_summary_line(size, k, res, mbps))
-        _emit(args, collected, lines)
+    if not reporting:
         return EXIT_OK
-
-    policy = _stop_policy(args)
-    with _open_group(args, encrypted=encrypted) as g:
-        if args.kind == "pingpong":
-            for size in args.sizes:
-                rounds = benchmarks.default_pingpong_rounds(size, args.scale)
-                res = benchmarks.run_until_stable_group(
-                    g,
-                    lambda: benchmarks.pingpong(
-                        g, size, rounds, encrypted=encrypted, payload_seed=args.seed
-                    ),
-                    policy,
-                    message_size=size,
-                    k_pairs=1,
-                )
-                if g.rank == 0 and res is not None:
-                    collected.extend(res.samples)
-                    mbps = benchmarks.throughput(size, res.mean) if size > 0 else None
-                    lines.append(_summary_line(size, 1, res, mbps))
-        elif args.kind == "multipair":
-            iterations = max(1, round(MULTIPAIR_ITERATIONS * args.scale))
-            for size in args.sizes:
-                for k in args.pairs:
-                    res = benchmarks.run_until_stable_group(
-                        g,
-                        lambda: benchmarks.multipair(
-                            g, k, size, iterations, encrypted=encrypted, payload_seed=args.seed
-                        ),
-                        policy,
-                        message_size=size,
-                        k_pairs=k,
-                    )
-                    if g.rank == 0 and res is not None:
-                        collected.extend(res.samples)
-                        aggregate = (
-                            benchmarks.throughput(size, res.mean) * MULTIPAIR_WINDOW * k
-                            if size > 0
-                            else None
-                        )
-                        lines.append(_summary_line(size, k, res, aggregate))
-        else:  # collective
-            iterations = max(1, round(COLLECTIVE_ITERATIONS * args.scale))
-            for size in args.sizes:
-                res = benchmarks.run_until_stable_group(
-                    g,
-                    lambda: benchmarks.collective_bench(
-                        g,
-                        args.op,
-                        size,
-                        iterations,
-                        encrypted=encrypted,
-                        payload_seed=args.seed,
-                    ),
-                    policy,
-                    message_size=size,
-                    k_pairs=g.size,
-                )
-                if g.rank == 0 and res is not None:
-                    collected.extend(res.samples)
-                    mbps = benchmarks.throughput(size, res.mean) if size > 0 else None
-                    lines.append(_summary_line(size, g.size, res, mbps))
-        if g.rank == 0:
-            _emit(args, collected, lines)
-    return EXIT_OK
-
-
-def _emit(args, samples: list[LatencySample], lines: list[str]) -> None:
     if args.out:
-        write_samples_csv(args.out, samples)
-        print(f"wrote {len(samples)} samples to {args.out}")
+        write_samples_csv(args.out, collected)
+        print(f"wrote {len(collected)} samples to {args.out}")
     print(_summary_header())
     for line in lines:
         print(line)
+    return EXIT_OK
 
 
 # -- fit -------------------------------------------------------------------
@@ -443,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bench = sub.add_parser("bench", help="run a benchmark and write samples CSV")
-    bench.add_argument("kind", choices=["pingpong", "multipair", "encdec", "collective"])
+    bench.add_argument("kind", choices=list(BENCH_POINTS))
     bench.add_argument("--roster", help="roster file of 'rank host port' lines")
     bench.add_argument("--rank", type=int, help="this process's rank")
     bench.add_argument("--backend", default=DEFAULT_BACKEND, choices=available_backends())

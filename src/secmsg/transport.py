@@ -25,6 +25,14 @@ rendezvous send on that connection still awaits CTS raises
 with that typed error instead of hanging; ``collectives`` orders its
 pairwise exchanges by rank to stay clear of it.
 
+A connection whose read or write fails is shut down, and every send
+queued on it and every receive posted or matched on it fails with
+``ConnectionLost``; the peer's reader then sees EOF and does the same.
+``close()`` fails whatever still waits on any connection the same way,
+and every call made after ``close()`` raises ``ConnectionLost``.  The
+first cause of a connection's death is kept, and every later call on
+that connection raises ``ConnectionLost`` naming it.
+
 The wire path copies no payload it does not have to.  Each connection's
 reader thread reads through a buffered file over the socket: a small
 message costs one ``recv`` for header and body together, and a large
@@ -58,7 +66,6 @@ _CTS = bytes([MODE_CTS])
 
 DEFAULT_THRESHOLD = 131072  # plaintext bytes; at or above goes rendezvous
 
-RESERVED_TAG_BASE = 0xFFFFFFF0
 BARRIER_TAG = 0xFFFFFFFF
 COLLECTIVE_TAG = 0xFFFFFFFE
 
@@ -202,13 +209,17 @@ class _Conn:
         self.awaiting_cts = False
         self.bytes_out = 0
         self.bytes_in = 0
-        self.alive = True
+        self.error: TransportError | None = None  # why it died; None while up
         self.reader: threading.Thread | None = None
 
     def write(self, data: bytes) -> None:
         # caller holds self.lock
         self.sock.sendall(data)
         self.bytes_out += len(data)
+
+    def lost(self) -> ConnectionLost:
+        """A fresh error for a call on this dead connection, naming the cause."""
+        return ConnectionLost(f"connection to rank {self.peer} is down: {self.error}")
 
     def read_exact(self, rfile, n: int) -> bytes:
         data = rfile.read(n)
@@ -256,7 +267,6 @@ class ProcessGroup:
         self._match_lock = threading.Lock()
         self._posted: dict[tuple[int, int], deque[RequestHandle]] = {}
         self._inbound: dict[tuple[int, int], deque] = {}
-        self._dead_peers: set[int] = set()
 
         if n > 1:
             try:
@@ -399,8 +409,7 @@ class ProcessGroup:
                 else:
                     raise ConnectionLost(f"peer {conn.peer} sent unknown mode {mode}")
         except (ConnectionLost, OSError) as exc:
-            if not self._closing:
-                self._on_connection_dead(conn, exc, arrival)
+            self._on_connection_dead(conn, exc, arrival)
         finally:
             rfile.close()
 
@@ -456,9 +465,11 @@ class ProcessGroup:
     ) -> None:
         """Fail everything still waiting on ``conn``: queued sends, posted
         receives and ``arrival``, the rendezvous whose body was being
-        read.  The socket is shut down so the peer's reader sees EOF."""
-        conn.alive = False
-        error = exc if isinstance(exc, TransportError) else ConnectionLost(str(exc))
+        read.  The socket is shut down so the peer's reader sees EOF.  The
+        first cause stays on ``conn`` and fails all of it."""
+        if conn.error is None:
+            conn.error = exc if isinstance(exc, TransportError) else ConnectionLost(str(exc))
+        error = conn.error
         try:
             conn.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -468,10 +479,9 @@ class ProcessGroup:
             while conn.out_queue:
                 conn.out_queue.popleft()[1]._fail(error)
         with self._match_lock:
-            self._dead_peers.add(conn.peer)
             # _post_recv attaches a handle to a queued arrival under this
             # lock, so either it is attached by now or the receive sees
-            # the peer in _dead_peers
+            # conn.error, which is set before this lock is taken
             if arrival is not None and arrival.handle is not None:
                 arrival.handle._fail(error)
             for (src, _tag), handles in list(self._posted.items()):
@@ -489,8 +499,8 @@ class ProcessGroup:
         if not 0 <= peer < self.size:
             raise ValueError(f"rank {peer} out of range for group of {self.size}")
         conn = self._conns[peer]
-        if not conn.alive:
-            raise ConnectionLost(f"connection to rank {peer} is down")
+        if conn.error is not None:
+            raise conn.lost()
         return conn
 
     def _post_send(self, dest: int, tag: int, body: bytes, classify_len: int) -> RequestHandle:
@@ -499,18 +509,21 @@ class ProcessGroup:
             raise ValueError("message larger than the u32 wire limit")
         handle = RequestHandle(HandleKind.SEND)
         mode = MODE_RTS if classify_len >= self.threshold else MODE_EAGER
-        with conn.lock:
-            conn.out_queue.append((mode, handle, HEADER.pack(mode, len(body), tag), body))
-            self._drain_locked(conn)
+        try:
+            with conn.lock:
+                conn.out_queue.append((mode, handle, HEADER.pack(mode, len(body), tag), body))
+                self._drain_locked(conn)
+        except OSError as exc:  # fails this send and everything queued behind it
+            self._on_connection_dead(conn, exc, None)
         return handle
 
     def _post_recv(self, src: int, tag: int, provider: AeadProvider | None) -> RequestHandle:
-        self._check_peer(src)
+        conn = self._check_peer(src)
         handle = RequestHandle(HandleKind.RECV, provider=provider)
         key = (src, tag)
         with self._match_lock:
-            if src in self._dead_peers:
-                handle._fail(ConnectionLost(f"connection to rank {src} is down"))
+            if conn.error is not None:
+                handle._fail(conn.lost())
                 return handle
             queue = self._inbound.get(key)
             if not queue:
@@ -524,8 +537,8 @@ class ProcessGroup:
         if isinstance(item, _RdvArrival):
             try:
                 self._send_cts(item.conn)
-            except OSError:
-                pass  # the connection is dead; its reader fails the handle
+            except OSError as exc:
+                self._on_connection_dead(item.conn, exc, item)
         else:
             handle._complete(item)
         return handle
@@ -598,18 +611,16 @@ class ProcessGroup:
         if (
             synchronize
             and self.size > 1
-            and all(c.alive for c in self._conns.values())
+            and all(c.error is None for c in self._conns.values())
         ):
             try:
                 self.barrier()
             except (TransportError, TimeoutError):
                 pass
         self._closing = True
+        closed = ConnectionLost(f"rank {self.rank}: the group is closed")
         for conn in self._conns.values():
-            try:
-                conn.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            self._on_connection_dead(conn, closed, None)
             try:
                 conn.sock.close()
             except OSError:

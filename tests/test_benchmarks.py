@@ -2,8 +2,10 @@ import math
 import multiprocessing
 import os
 import random
+import signal
 import statistics
 import threading
+import time
 
 import pytest
 
@@ -168,6 +170,30 @@ def test_encdec_worker_failure_raises_in_caller_and_leaves_no_child():
     assert multiprocessing.active_children() == []
 
     assert encdec_bench(16, 10, threads=2) > 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_encdec_dead_worker_raises_runtime_error_and_leaves_no_child():
+    outcome = []
+
+    def long_call():
+        try:
+            encdec_bench(65536, 10**7, threads=2)
+        except Exception as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=long_call, daemon=True)
+    caller.start()
+    deadline = time.monotonic() + 30
+    while len(multiprocessing.active_children()) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    workers = multiprocessing.active_children()
+    assert len(workers) == 2, "encdec_bench did not start its two workers"
+    os.kill(workers[0].pid, signal.SIGKILL)
+    caller.join(30)
+    assert not caller.is_alive(), "a dead worker left encdec_bench blocked"
+    assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
     assert multiprocessing.active_children() == []
 
 

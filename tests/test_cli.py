@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import statistics
 import threading
 
 import pytest
@@ -18,6 +19,13 @@ from secmsg.models import (
     load_params,
 )
 from secmsg.transport import write_roster
+
+
+def summary_rows(stdout):
+    """The rows of the summary table `bench` prints, split into columns."""
+    lines = stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:2] == ["size_bytes", "k"])
+    return [line.split() for line in lines[start + 1:]]
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -50,16 +58,17 @@ def test_bench_encdec_writes_expected_csv_shape(tmp_path, capsys):
     out = str(tmp_path / "encdec.csv")
     rc = main(
         [
-            "bench", "encdec", "--sizes", "1024", "--threads", "1",
+            "bench", "encdec", "--sizes", "1024", "--threads", "1,2",
             "--scale", "0.0004", "--min-runs", "5", "--budget", "12", "--out", out,
         ]
     )
     assert rc == 0
     samples = read_samples_csv(out)
-    assert samples and all(s.k_pairs == 1 and s.message_size == 1024 for s in samples)
-    assert len(samples) >= 5
-    stdout = capsys.readouterr().out
-    assert "size_bytes" in stdout and "1024" in stdout
+    assert all(s.message_size == 1024 for s in samples)
+    for k in (1, 2):
+        assert len([s for s in samples if s.k_pairs == k]) >= 5
+    rows = summary_rows(capsys.readouterr().out)
+    assert [(row[0], row[1]) for row in rows] == [("1024", "1"), ("1024", "2")]
 
 
 def test_bench_scale_changes_counts_not_schema(tmp_path):
@@ -272,7 +281,7 @@ def test_mismatched_keys_exit_with_integrity_code(tmp_path):
     assert all(code in (2, 3) for code in codes)
 
 
-def test_bench_multipair_produces_k_groups(tmp_path):
+def test_bench_multipair_produces_k_groups(tmp_path, capsys):
     roster_path = str(tmp_path / "roster.txt")
     write_roster(roster_path, free_roster(4))
     csv_path = str(tmp_path / "mp.csv")
@@ -297,6 +306,15 @@ def test_bench_multipair_produces_k_groups(tmp_path):
     samples = read_samples_csv(csv_path)
     assert {s.k_pairs for s in samples} == {1, 2}
     assert all(s.message_size == 16384 for s in samples)
+    # one summary line per (size, k); MB/s counts every message of the
+    # 64-message window on each of the k pairs
+    rows = summary_rows(capsys.readouterr().out)
+    assert [(row[0], row[1]) for row in rows] == [("16384", "1"), ("16384", "2")]
+    for row in rows:
+        size, k = int(row[0]), int(row[1])
+        mean = statistics.fmean(s.latency_us for s in samples if s.k_pairs == k)
+        assert float(row[3]) == pytest.approx(mean, abs=0.0006)
+        assert float(row[5]) == pytest.approx(size / mean * 64 * k, abs=0.006)
 
 
 def test_bench_collective_records_group_size_as_k(tmp_path):

@@ -276,6 +276,98 @@ def test_matched_rendezvous_receive_fails_when_connection_dies(posted):
     assert run_ranks(2, fn, with_provider=False, timeout=20) == [True, True]
 
 
+class _FailingWrites:
+    """A socket stand-in whose writes fail; every other attribute is the socket's."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def sendall(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.mark.parametrize("write", ["send", "cts"])
+def test_failed_socket_write_fails_both_ranks_with_connection_lost(write):
+    # rank 0's next write (its eager send, or the CTS for rank 1's
+    # rendezvous send) fails; both ranks must see the typed error
+    def fn(g):
+        if write == "send":
+            if g.rank == 1:
+                h = g.irecv(0, DATA)
+                g.barrier()
+                with pytest.raises(ConnectionLost):
+                    h.wait(timeout=10)
+                return True
+            g.barrier()
+            g._conns[1].sock = _FailingWrites(g._conns[1].sock)
+            with pytest.raises(ConnectionLost):
+                g.send(1, DATA, b"never written")
+            return True
+        g.barrier()
+        if g.rank == 1:
+            with pytest.raises(ConnectionLost):
+                g.isend(0, DATA, os.urandom(200_000)).wait(timeout=10)
+            return True
+        deadline = time.monotonic() + 10
+        while (1, DATA) not in g._inbound and time.monotonic() < deadline:
+            time.sleep(0.001)
+        g._conns[1].sock = _FailingWrites(g._conns[1].sock)
+        with pytest.raises(ConnectionLost):
+            g.irecv(1, DATA).wait(timeout=10)
+        return True
+
+    assert run_ranks(2, fn, with_provider=False, timeout=30) == [True, True]
+
+
+def test_calls_after_close_raise_transport_error():
+    def fn(g):
+        peer = 1 - g.rank
+        g.close()
+        with pytest.raises(TransportError):
+            g.irecv(peer, DATA)
+        with pytest.raises(TransportError):
+            g.send(peer, DATA, b"after close")
+        with pytest.raises(TransportError):
+            g.encrypted_send(peer, DATA, b"after close")
+        return True
+
+    assert run_ranks(2, fn) == [True, True]
+
+
+@pytest.mark.parametrize("state", ["posted", "matched"])
+def test_close_fails_a_receive_posted_before_it(state):
+    # rank 1 keeps the connection up until rank 0 has checked, so only
+    # rank 0's own close() can fail the receive; "matched" leaves it
+    # matched to an RTS whose body never comes
+    checked = threading.Event()
+
+    def fn(g):
+        if g.rank == 1:
+            g.barrier()
+            conn = g._conns[0]
+            with conn.lock:  # rank 1's reader cannot act on a CTS until checked
+                if state == "matched":
+                    conn.write(HEADER.pack(MODE_RTS, 200_000, DATA))
+                assert checked.wait(20)
+            return True
+        h = g.irecv(1, DATA)
+        g.barrier()
+        if state == "matched":
+            deadline = time.monotonic() + 10
+            while (1, DATA) in g._posted and time.monotonic() < deadline:
+                time.sleep(0.001)
+        g.close(synchronize=False)
+        with pytest.raises(ConnectionLost):
+            h.wait(timeout=10)
+        checked.set()
+        return True
+
+    assert run_ranks(2, fn, with_provider=False, timeout=60) == [True, True]
+
+
 def test_eager_burst_arrives_intact_in_order_with_exact_byte_count():
     # sizes around the 12-byte header, the 8 KiB read buffer and the
     # eager threshold
