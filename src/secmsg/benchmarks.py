@@ -43,6 +43,8 @@ MULTIPAIR_ITERATIONS = 100
 ENCDEC_ITERATIONS = 500_000
 COLLECTIVE_ITERATIONS = 100
 ENCDEC_START_LINE_SLACK_S = 60.0  # start-up allowance at encdec_bench's start line
+CI_LEVEL = 0.99  # confidence level of the stopping rule and of ci99_halfwidth
+CI_Z = statistics.NormalDist().inv_cdf(0.5 + CI_LEVEL / 2.0)
 
 
 class StopReason(enum.Enum):
@@ -58,7 +60,6 @@ class StopPolicy:
     min_runs: int = 20
     max_runs_phase1: int = 100
     cv_target: float = 0.05
-    ci_level: float = 0.99
     hard_budget: int = 1000
 
     def __post_init__(self) -> None:
@@ -66,8 +67,8 @@ class StopPolicy:
             raise ValueError("min_runs must be at least 2")
         if not self.min_runs <= self.max_runs_phase1 <= self.hard_budget:
             raise ValueError("need min_runs <= max_runs_phase1 <= hard_budget")
-        if not 0 < self.cv_target < 1 or not 0 < self.ci_level < 1:
-            raise ValueError("cv_target and ci_level must be in (0, 1)")
+        if not 0 < self.cv_target < 1:
+            raise ValueError("cv_target must be in (0, 1)")
 
 
 ENCDEC_STOP_POLICY = StopPolicy(min_runs=5)
@@ -104,11 +105,7 @@ class BenchmarkResult:
         return len(self.samples)
 
 
-def _z_for(level: float) -> float:
-    return statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
-
-
-def _stop_decision(latencies: list[float], policy: StopPolicy, z: float) -> StopReason | None:
+def _stop_decision(latencies: list[float], policy: StopPolicy) -> StopReason | None:
     n = len(latencies)
     if n < policy.min_runs:
         return None
@@ -117,7 +114,7 @@ def _stop_decision(latencies: list[float], policy: StopPolicy, z: float) -> Stop
     if n <= policy.max_runs_phase1:
         if sd <= policy.cv_target * mean:
             return StopReason.STDDEV_OK
-    elif z * sd / math.sqrt(n) <= policy.cv_target * mean:
+    elif CI_Z * sd / math.sqrt(n) <= policy.cv_target * mean:
         return StopReason.CI_OK
     if n >= policy.hard_budget:
         return StopReason.BUDGET
@@ -127,7 +124,6 @@ def _stop_decision(latencies: list[float], policy: StopPolicy, z: float) -> Stop
 def _build_result(
     latencies: list[float],
     reason: StopReason,
-    z: float,
     message_size: int,
     k_pairs: int,
 ) -> BenchmarkResult:
@@ -140,7 +136,7 @@ def _build_result(
         samples=samples,
         mean=mean,
         stddev=sd,
-        ci99_halfwidth=z * sd / math.sqrt(len(latencies)),
+        ci99_halfwidth=CI_Z * sd / math.sqrt(len(latencies)),
         stop_reason=reason,
     )
 
@@ -153,13 +149,12 @@ def run_until_stable(
     k_pairs: int = 1,
 ) -> BenchmarkResult:
     """Repeat ``measure`` (returning µs) until the stopping rule fires."""
-    z = _z_for(policy.ci_level)
     latencies: list[float] = []
     reason = None
     while reason is None:
         latencies.append(float(measure()))
-        reason = _stop_decision(latencies, policy, z)
-    return _build_result(latencies, reason, z, message_size, k_pairs)
+        reason = _stop_decision(latencies, policy)
+    return _build_result(latencies, reason, message_size, k_pairs)
 
 
 def run_until_stable_group(
@@ -179,17 +174,16 @@ def run_until_stable_group(
     (all-zero local latencies, e.g. idle ranks of a small pair count) get
     None.
     """
-    z = _z_for(policy.ci_level)
     latencies: list[float] = []
     reason: StopReason | None = None
     while reason is None:
         latencies.append(float(measure()))
-        decision = _stop_decision(latencies, policy, z) if g.rank == 0 else None
+        decision = _stop_decision(latencies, policy) if g.rank == 0 else None
         verdict = collectives.bcast(g, 0, decision.value.encode() if decision else b"")
         reason = StopReason(verdict.decode()) if verdict else None
     if all(lat <= 0 for lat in latencies):
         return None
-    return _build_result(latencies, reason, z, message_size, k_pairs)
+    return _build_result(latencies, reason, message_size, k_pairs)
 
 
 def throughput(size_bytes: int, latency_us: float) -> float:

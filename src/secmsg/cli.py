@@ -13,6 +13,7 @@ import dataclasses
 import os
 import sys
 from functools import partial
+from typing import Callable
 
 from . import benchmarks, models
 from .aead import DEFAULT_BACKEND, IntegrityError, ProviderError, SecretKey, available_backends, create_provider
@@ -30,7 +31,6 @@ from .benchmarks import (
 from .models import (
     ENCDEC_PRESETS,
     PRESETS,
-    FitError,
     ParameterSet,
     compose_enhanced,
     load_params,
@@ -94,11 +94,9 @@ def _stop_policy(args, *, min_runs: int | None = None) -> StopPolicy:
 def _resolve_preset(name: str, flavor: str) -> ParameterSet:
     if name in PRESETS:
         return PRESETS[name]
-    if name.endswith("-rendezvous") and name[: -len("-rendezvous")] in ("ethernet", "ib"):
-        return PRESETS[name[: -len("-rendezvous")] + "-pingpong"]
     if name in ("ethernet", "ib"):
         return PRESETS[f"{name}-{flavor}"]
-    known = ", ".join(sorted(PRESETS) + ["ethernet", "ib", "ethernet-rendezvous", "ib-rendezvous"])
+    known = ", ".join(sorted(PRESETS) + ["ethernet", "ib"])
     raise UsageError(f"unknown preset {name!r} (have: {known})")
 
 
@@ -281,33 +279,44 @@ def cmd_fit(args) -> int:
 # -- predict ----------------------------------------------------------------
 
 
+def _point_model(mode: str, ps: ParameterSet, plaintext: bool) -> tuple[Callable[[int, int], float], bool]:
+    """The (size, k) -> µs model of a single or multipair point, and whether it encrypts."""
+    if mode == "single":
+        if ps.hockney is None:
+            raise UsageError("single mode needs a hockney section")
+        if ps.encdec is None or plaintext:
+            return lambda size, k: ps.hockney.predict(size), False
+        enhanced = compose_enhanced(ps.hockney, ps.encdec)
+        return lambda size, k: enhanced.predict(size), True
+    if ps.hockney is None or ps.maxrate is None:
+        raise UsageError("multipair mode needs hockney and maxrate sections")
+    return lambda size, k: models.predict_multipair(ps.hockney, ps.maxrate, k, size), True
+
+
 def cmd_predict(args) -> int:
-    flavor = "multipair" if (args.mode == "multipair" or (args.mode == "overhead" and args.pairs)) else "pingpong"
-    ps = _load_parameter_set(args, flavor)
+    multipair = args.mode == "multipair" or (args.mode == "overhead" and args.pairs is not None)
+    ps = _load_parameter_set(args, "multipair" if multipair else "pingpong")
+    if args.size is not None and args.size < 0:
+        raise UsageError("--size must be nonnegative")
+    if args.pairs is not None and args.pairs < 1:
+        raise UsageError("--pairs must be at least 1")
 
     if args.mode == "single":
-        if ps.hockney is None:
-            raise UsageError("single prediction needs a hockney section")
+        predict, encrypted = _point_model("single", ps, args.plaintext)
         if args.size is None:
             raise UsageError("single prediction needs --size")
-        model = ps.hockney
-        kind = "plaintext"
-        if ps.encdec is not None and not args.plaintext:
-            model = compose_enhanced(ps.hockney, ps.encdec)
-            kind = "encrypted"
-        latency = models.predict_single(model, args.size)
+        latency = predict(args.size, 1)
         phase = phase_for(args.size, ps.hockney.threshold_bytes).value
-        print(f"mode single ({kind}), size {args.size} B, phase {phase}")
+        print(f"mode single ({'encrypted' if encrypted else 'plaintext'}), size {args.size} B, phase {phase}")
         print(f"predicted latency: {latency:.3f} us")
         if args.size > 0:
             print(f"predicted throughput: {benchmarks.throughput(args.size, latency):.3f} MB/s")
     elif args.mode == "multipair":
-        if ps.hockney is None or ps.maxrate is None:
-            raise UsageError("multipair prediction needs hockney and maxrate sections")
-        if args.size is None or not args.pairs:
+        predict, _ = _point_model("multipair", ps, args.plaintext)
+        if args.size is None or args.pairs is None:
             raise UsageError("multipair prediction needs --size and --pairs")
-        k = args.pairs[0]
-        latency = models.predict_multipair(ps.hockney, ps.maxrate, k, args.size)
+        k = args.pairs
+        latency = predict(args.size, k)
         phase = phase_for(args.size, ps.hockney.threshold_bytes).value
         cls = size_class_for(args.size).value
         print(f"mode multipair, k {k}, size {args.size} B, phase {phase}, class {cls}")
@@ -322,33 +331,24 @@ def cmd_predict(args) -> int:
         if args.size is None:
             raise UsageError("pipelined prediction needs --size")
         latency = models.predict_pipelined(ps.hockney, ps.encdec, args.size)
-        t_comm = models.predict_single(ps.hockney, args.size)
-        overhead = latency / t_comm - 1.0
+        overhead = latency / ps.hockney.predict(args.size) - 1.0
         phase = phase_for(args.size, ps.hockney.threshold_bytes).value
         print(f"mode pipelined, size {args.size} B, phase {phase}")
         print(f"predicted latency: {latency:.3f} us")
         print(f"predicted throughput: {benchmarks.throughput(args.size, latency):.3f} MB/s")
         print(f"overhead versus plaintext: {overhead * 100.0:.1f}%")
     else:  # overhead
-        if args.pairs:
+        if args.pairs is not None:
             if ps.hockney is None or ps.maxrate is None:
                 raise UsageError("multipair overhead needs hockney and maxrate sections")
-            k = args.pairs[0]
+            k = args.pairs
             size = args.size if args.size is not None else 2 * 1024 * 1024
-            cls = ps.maxrate.class_params(size)
-            est = models.overhead_multipair_slow(
-                ps.hockney.params_for(size).beta_us_per_byte,
-                cls,
-                k,
-                comm=ps.hockney,
-                enc=ps.maxrate,
-                m=size,
-            )
-            tag = "" if est.in_regime else " (out of regime: encryption-bound)"
+            ratio, in_regime = models.overhead_multipair(ps.hockney, ps.maxrate, k, size)
+            tag = "" if in_regime else " (out of regime: encryption-bound)"
             print(
                 f"mode overhead (multipair), k {k}, class {size_class_for(size).value}"
             )
-            print(f"predicted overhead: {est.ratio * 100.0:.2f}%{tag}")
+            print(f"predicted overhead: {ratio * 100.0:.2f}%{tag}")
         else:
             if ps.hockney is None or ps.encdec is None:
                 raise UsageError("single-flow overhead needs hockney and encdec sections")
@@ -366,21 +366,8 @@ def cmd_validate(args) -> int:
     flavor = "multipair" if args.mode == "multipair" else "pingpong"
     ps = _load_parameter_set(args, flavor)
     measured = models.mean_latency_by_key(samples)
-
-    predicted: dict[tuple[int, int], float] = {}
-    if args.mode == "single":
-        if ps.hockney is None:
-            raise UsageError("single validation needs a hockney section")
-        model = ps.hockney
-        if ps.encdec is not None and not args.plaintext:
-            model = compose_enhanced(ps.hockney, ps.encdec)
-        for size, k in measured:
-            predicted[(size, k)] = models.predict_single(model, size)
-    else:
-        if ps.hockney is None or ps.maxrate is None:
-            raise UsageError("multipair validation needs hockney and maxrate sections")
-        for size, k in measured:
-            predicted[(size, k)] = models.predict_multipair(ps.hockney, ps.maxrate, k, size)
+    predict, _ = _point_model(args.mode, ps, args.plaintext)
+    predicted = {(size, k): predict(size, k) for size, k in measured}
 
     report = models.validate(measured, predicted)
     print(f"{'size_bytes':>10} {'k':>3} {'predicted_us':>13} {'measured_us':>13} {'rel_error':>10}")
@@ -452,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--preset", help=f"bundled preset ({', '.join(sorted(PRESETS))}; 'ethernet'/'ib' pick by mode)")
     predict.add_argument("--enc", help=f"encrypt-decrypt preset ({', '.join(sorted(ENCDEC_PRESETS))})")
     predict.add_argument("--size", type=int, default=None, help="message bytes")
-    predict.add_argument("--pairs", type=_int_list, default=[], help="pair count (first value used)")
+    predict.add_argument("--pairs", type=int, default=None, help="pair count")
     predict.add_argument("--plaintext", action="store_true", help="predict without encryption cost")
     predict.set_defaults(func=cmd_predict)
 
@@ -473,10 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FitError, ValueError) as exc:
+    except ValueError as exc:  # UsageError, FitError and bad model inputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IntegrityError as exc:

@@ -14,9 +14,11 @@ The third is a multi-worker encryption model
 message-size class, fitted by bounded nonlinear least squares with
 multiple starting points.
 
-The encrypted single-flow model is the per-phase sum of the
-communication and encryption lines, again a ``PhasedHockneyParams``; the
-windowed multi-pair model is ``max(T_enc(k,m)/2, T_comm(k,m)) + T_enc(k,m)/2``
+Each parameter type evaluates itself with ``predict``: ``m`` for a line
+or a phased line, ``(k, m)`` for the multi-worker model.  The encrypted
+single-flow model is the per-phase sum of the communication and
+encryption lines, again a ``PhasedHockneyParams``; the windowed
+multi-pair model is ``max(T_enc(k,m)/2, T_comm(k,m)) + T_enc(k,m)/2``
 where ``T_comm(k, m) = alpha + beta * k * m``.  Large-message overhead
 estimators and the pipelined-transfer bound are derived from the same
 parameters.
@@ -101,6 +103,9 @@ class PhasedHockneyParams:
     def params_for(self, m: int) -> HockneyParams:
         return self.eager if phase_for(m, self.threshold_bytes) is Phase.EAGER else self.rendezvous
 
+    def predict(self, m: int) -> float:
+        return self.params_for(m).predict(m)
+
 
 @dataclass(frozen=True)
 class MaxRateClassParams:
@@ -131,6 +136,10 @@ class MaxRateParams:
 
     def class_params(self, m: int) -> MaxRateClassParams:
         return getattr(self, size_class_for(m).value)
+
+    def predict(self, k: int, m: int) -> float:
+        """Multi-worker encrypt-decrypt latency with the class chosen by m."""
+        return self.class_params(m).predict(k, m)
 
 
 # -- line fitting -------------------------------------------------------
@@ -241,28 +250,12 @@ def compose_enhanced(comm: PhasedHockneyParams, enc: HockneyParams) -> PhasedHoc
     )
 
 
-def predict_single(params: HockneyParams | PhasedHockneyParams, m: int) -> float:
-    """Latency in µs of one m-byte transfer under a line model."""
-    if m < 0:
-        raise ValueError("message size must be nonnegative")
-    if isinstance(params, PhasedHockneyParams):
-        return params.params_for(m).predict(m)
-    return params.predict(m)
-
-
-def eval_maxrate(params: MaxRateParams, k: int, m: int) -> float:
-    """Multi-worker encrypt-decrypt latency with the class chosen by m."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("message size must be nonnegative")
-    return params.class_params(m).predict(k, m)
-
-
-def multipair_comm_time(comm: PhasedHockneyParams, k: int, m: int) -> float:
-    """Aggregate concurrent-pair communication time alpha + beta * k * m."""
+def _window_times(
+    comm: PhasedHockneyParams, enc: MaxRateParams, k: int, m: int
+) -> tuple[float, float]:
+    """(T_comm, T_enc) of k concurrent pairs, T_comm = alpha + beta * k * m."""
     p = comm.params_for(m)
-    return p.alpha_us + p.beta_us_per_byte * k * m
+    return p.alpha_us + p.beta_us_per_byte * k * m, enc.predict(k, m)
 
 
 def predict_multipair(
@@ -278,8 +271,7 @@ def predict_multipair(
         raise ValueError("k must be >= 1")
     if m <= 0:
         raise ValueError("message size must be positive")
-    t_enc = eval_maxrate(enc, k, m)
-    t_comm = multipair_comm_time(comm, k, m)
+    t_comm, t_enc = _window_times(comm, enc, k, m)
     return max(t_enc / 2.0, t_comm) + t_enc / 2.0
 
 
@@ -290,37 +282,24 @@ def overhead_single_large(enc: HockneyParams, comm: HockneyParams) -> float:
     return enc.beta_us_per_byte / comm.beta_us_per_byte
 
 
-@dataclass(frozen=True)
-class OverheadEstimate:
-    ratio: float
-    in_regime: bool | None = None  # None when no (k, m) regime query was made
+def overhead_multipair(
+    comm: PhasedHockneyParams, enc: MaxRateParams, k: int, m: int
+) -> tuple[float, bool]:
+    """Multi-pair overhead 1 / (2 * beta * (A + (k-1) * B)) at size m.
 
-
-def overhead_multipair_slow(
-    comm_beta_us_per_byte: float,
-    enc_cls: MaxRateClassParams,
-    k: int,
-    *,
-    comm: PhasedHockneyParams | None = None,
-    enc: MaxRateParams | None = None,
-    m: int | None = None,
-) -> OverheadEstimate:
-    """Multi-pair overhead 1 / (2 * beta * (A + (k-1) * B)).
-
-    Valid when communication dominates, i.e. T_comm(k, m) >= T_enc(k, m)/2.
-    Passing ``comm``, ``enc`` and ``m`` evaluates that regime check and
-    tags the estimate; the ratio itself is returned either way.
+    beta is the slope of m's phase and (A, B) the rates of m's class.
+    Returns the ratio and whether (k, m) is in the regime where it holds,
+    i.e. communication dominates: T_comm(k, m) >= T_enc(k, m)/2.
     """
-    if comm_beta_us_per_byte <= 0:
+    beta = comm.params_for(m).beta_us_per_byte
+    if beta <= 0:
         raise ValueError("communication slope must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    rate = enc_cls.a_bytes_per_us + (k - 1) * enc_cls.b_bytes_per_us
-    ratio = 1.0 / (2.0 * comm_beta_us_per_byte * rate)
-    in_regime = None
-    if comm is not None and enc is not None and m is not None:
-        in_regime = multipair_comm_time(comm, k, m) >= eval_maxrate(enc, k, m) / 2.0
-    return OverheadEstimate(ratio=ratio, in_regime=in_regime)
+    cls = enc.class_params(m)
+    rate = cls.a_bytes_per_us + (k - 1) * cls.b_bytes_per_us
+    t_comm, t_enc = _window_times(comm, enc, k, m)
+    return 1.0 / (2.0 * beta * rate), t_comm >= t_enc / 2.0
 
 
 def predict_pipelined(
@@ -329,9 +308,7 @@ def predict_pipelined(
     """Latency bound when encryption is pipelined with transmission."""
     if m <= 0:
         raise ValueError("message size must be positive")
-    t_comm = predict_single(comm, m)
-    t_enc = enc.predict(m)
-    return max(t_comm, t_enc)
+    return max(comm.predict(m), enc.predict(m))
 
 
 # -- nonlinear max-rate fit ----------------------------------------------
@@ -582,24 +559,9 @@ MAXRATE_PRESET: MaxRateParams = MaxRateParams(
 )
 
 PRESETS: dict[str, ParameterSet] = {
-    "ethernet-pingpong": ParameterSet(
-        hockney=PINGPONG_HOCKNEY_PRESETS["ethernet"],
-        encdec=ENCDEC_PRESETS["boringssl"],
-        maxrate=MAXRATE_PRESET,
-    ),
-    "ib-pingpong": ParameterSet(
-        hockney=PINGPONG_HOCKNEY_PRESETS["ib"],
-        encdec=ENCDEC_PRESETS["boringssl"],
-        maxrate=MAXRATE_PRESET,
-    ),
-    "ethernet-multipair": ParameterSet(
-        hockney=MULTIPAIR_HOCKNEY_PRESETS["ethernet"],
-        encdec=ENCDEC_PRESETS["boringssl"],
-        maxrate=MAXRATE_PRESET,
-    ),
-    "ib-multipair": ParameterSet(
-        hockney=MULTIPAIR_HOCKNEY_PRESETS["ib"],
-        encdec=ENCDEC_PRESETS["boringssl"],
-        maxrate=MAXRATE_PRESET,
-    ),
+    f"{net}-{flavor}": ParameterSet(
+        hockney=lines[net], encdec=ENCDEC_PRESETS["boringssl"], maxrate=MAXRATE_PRESET
+    )
+    for flavor, lines in (("pingpong", PINGPONG_HOCKNEY_PRESETS), ("multipair", MULTIPAIR_HOCKNEY_PRESETS))
+    for net in ("ethernet", "ib")
 }

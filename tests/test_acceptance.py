@@ -24,7 +24,6 @@ from secmsg.models import (
     MULTIPAIR_HOCKNEY_PRESETS,
     PINGPONG_HOCKNEY_PRESETS,
     compose_enhanced,
-    eval_maxrate,
     fit_encdec_line,
     fit_hockney,
     fit_maxrate,
@@ -70,7 +69,7 @@ def test_acceptance_3_maxrate_and_multipair_worked_examples(capsys):
     # rate(8 workers) = 1502.21 + 7 * 1262.59 = 10340.34 B/us
     # T_enc(8, 2 MiB) = 3.44 + 16777216 / 10340.34
     hand_t_enc = 3.44 + 16_777_216 / 10_340.34
-    t_enc = eval_maxrate(MAXRATE_PRESET, 8, 2 * 1024 * 1024)
+    t_enc = MAXRATE_PRESET.predict(8, 2 * 1024 * 1024)
     assert t_enc == pytest.approx(hand_t_enc, abs=1e-9)
     assert abs(t_enc - 1626.0) <= 0.5
 

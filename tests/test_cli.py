@@ -13,10 +13,12 @@ from secmsg.cli import main
 from secmsg.models import (
     ENCDEC_PRESETS,
     MAXRATE_PRESET,
+    MULTIPAIR_HOCKNEY_PRESETS,
     PINGPONG_HOCKNEY_PRESETS,
     PhasedHockneyParams,
     HockneyParams,
     load_params,
+    predict_multipair,
 )
 from secmsg.transport import write_roster
 
@@ -37,9 +39,10 @@ def test_fit_requires_input(capsys):
 
 
 def test_unknown_preset_is_usage_error(capsys):
-    assert main(["predict", "--mode", "single", "--preset", "nope", "--size", "1"]) == 1
-    err = capsys.readouterr().err
-    assert "unknown preset" in err
+    for name in ("nope", "ib-rendezvous"):
+        assert main(["predict", "--mode", "single", "--preset", name, "--size", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown preset" in err
 
 
 def test_bad_key_hex_is_usage_error(capsys):
@@ -152,7 +155,7 @@ def test_fit_encdec_from_csv(tmp_path):
 
 
 def test_predict_overhead_reproduces_221_percent(capsys):
-    rc = main(["predict", "--mode", "overhead", "--preset", "ib-rendezvous", "--enc", "boringssl"])
+    rc = main(["predict", "--mode", "overhead", "--preset", "ib-pingpong", "--enc", "boringssl"])
     assert rc == 0
     assert "221%" in capsys.readouterr().out
 
@@ -199,6 +202,28 @@ def test_predict_multipair_overhead_takes_slope_from_phase_of_size(capsys):
     rc = main(["predict", "--mode", "overhead", "--preset", "ib", "--pairs", "8", "--size", "65536"])
     assert rc == 0
     assert "predicted overhead: 16.79%" in capsys.readouterr().out
+
+
+def test_predict_pipelined_encryption_bound_is_about_120_percent(capsys):
+    rc = main(["predict", "--mode", "pipelined", "--preset", "ib", "--size", "2097152"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    line = next(l for l in out.splitlines() if l.startswith("overhead versus plaintext"))
+    assert 115.0 <= float(line.split(":")[1].split("%")[0]) <= 125.0
+    assert "phase rendezvous" in out
+
+
+def test_predict_pairs_takes_one_integer(capsys):
+    rc = main(["predict", "--mode", "multipair", "--preset", "ib", "--pairs", "8,16", "--size", "2097152"])
+    assert rc == 1
+    assert "--pairs" in capsys.readouterr().err
+
+
+def test_predict_negative_size_is_usage_error(capsys):
+    for mode in (["single"], ["multipair", "--pairs", "2"], ["pipelined"], ["overhead"],
+                 ["overhead", "--pairs", "2"]):
+        assert main(["predict", "--mode", *mode, "--preset", "ib", "--size", "-5"]) == 1, mode
+        assert "error" in capsys.readouterr().err
 
 
 def test_predict_requires_sections(tmp_path, capsys):
@@ -248,6 +273,23 @@ def test_validate_identity_and_shuffle_independence(tmp_path, capsys):
         assert fa.read() == fb.read()
     for row in list(csv.DictReader(open(report_a))):
         assert float(row["rel_error"]) < 1e-9
+
+
+def test_validate_multipair_identity(tmp_path, capsys):
+    comm = MULTIPAIR_HOCKNEY_PRESETS["ib"]
+    samples = [
+        LatencySample(size, k, run, predict_multipair(comm, MAXRATE_PRESET, k, size))
+        for size in (1024, 65536, 2097152)
+        for k in (1, 3, 8)
+        for run in range(2)
+    ]
+    path = str(tmp_path / "mp.csv")
+    write_samples_csv(path, samples)
+    rc = main(["validate", "--measured", path, "--mode", "multipair", "--preset", "ib"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "MAPE overall: 0.0000" in out
+    assert len([l for l in out.splitlines() if l.startswith("MAPE size")]) == 3
 
 
 def test_env_var_overrides_key_flag(tmp_path, monkeypatch):

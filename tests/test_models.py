@@ -22,7 +22,6 @@ from secmsg.models import (
     PhasedHockneyParams,
     SizeClass,
     compose_enhanced,
-    eval_maxrate,
     fit_encdec_line,
     fit_hockney,
     fit_maxrate,
@@ -30,13 +29,11 @@ from secmsg.models import (
     load_params,
     maxrate_residual,
     mean_latency_by_key,
-    multipair_comm_time,
-    overhead_multipair_slow,
+    overhead_multipair,
     overhead_single_large,
     phase_for,
     predict_multipair,
     predict_pipelined,
-    predict_single,
     save_params,
     size_class_for,
     to_json_dict,
@@ -70,7 +67,7 @@ def test_size_class_boundaries():
 def test_class_selection_ignores_worker_count():
     m = 1024  # moderate
     for k in (1, 2, 4, 8):
-        base = eval_maxrate(MAXRATE_PRESET, k, m) - MAXRATE_PRESET.moderate.alpha_us
+        base = MAXRATE_PRESET.predict(k, m) - MAXRATE_PRESET.moderate.alpha_us
         rate = MAXRATE_PRESET.moderate.a_bytes_per_us + MAXRATE_PRESET.moderate.b_bytes_per_us * (k - 1)
         assert base == pytest.approx(k * m / rate, rel=1e-12)
 
@@ -228,23 +225,23 @@ def test_compose_commutes_as_addition():
 
 
 def test_predict_single_at_zero_is_alpha():
-    assert predict_single(IB, 0) == IB.eager.alpha_us
+    assert IB.predict(0) == IB.eager.alpha_us
     enhanced = compose_enhanced(IB, BORINGSSL)
-    assert predict_single(enhanced, 0) == enhanced.eager.alpha_us
+    assert enhanced.predict(0) == enhanced.eager.alpha_us
 
 
 def test_predict_single_worked_example_at_1024():
     enhanced = compose_enhanced(IB, BORINGSSL)
     # hand evaluation: 3.93 + 10.73e-4 * 1024 = 3.93 + 1.098752
-    assert predict_single(enhanced, 1024) == pytest.approx(5.028752, abs=1e-9)
-    assert predict_single(enhanced, 1024) == pytest.approx(5.029, abs=1e-3)
+    assert enhanced.predict(1024) == pytest.approx(5.028752, abs=1e-9)
+    assert enhanced.predict(1024) == pytest.approx(5.029, abs=1e-3)
 
 
 def test_predict_single_threshold_boundary_uses_rendezvous():
-    at = predict_single(IB, IB.threshold_bytes)
+    at = IB.predict(IB.threshold_bytes)
     expected = IB.rendezvous.alpha_us + IB.rendezvous.beta_us_per_byte * IB.threshold_bytes
     assert at == expected
-    below = predict_single(IB, IB.threshold_bytes - 1)
+    below = IB.predict(IB.threshold_bytes - 1)
     assert below == IB.eager.alpha_us + IB.eager.beta_us_per_byte * (IB.threshold_bytes - 1)
 
 
@@ -255,7 +252,7 @@ def test_predict_single_threshold_boundary_uses_rendezvous():
 )
 def test_predict_single_monotone_within_phase(m1, m2):
     lo, hi = sorted((m1, m2))
-    assert predict_single(IB, lo) <= predict_single(IB, hi)
+    assert IB.predict(lo) <= IB.predict(hi)
 
 
 # -- max-rate model --------------------------------------------------------------
@@ -264,20 +261,20 @@ def test_predict_single_monotone_within_phase(m1, m2):
 def test_eval_maxrate_k1_is_alpha_plus_m_over_a():
     params = MAXRATE_PRESET.large
     m = 65536
-    assert eval_maxrate(MAXRATE_PRESET, 1, m) == pytest.approx(
+    assert MAXRATE_PRESET.predict(1, m) == pytest.approx(
         params.alpha_us + m / params.a_bytes_per_us, rel=1e-12
     )
 
 
 def test_eval_maxrate_zero_size_is_alpha():
-    assert eval_maxrate(MAXRATE_PRESET, 4, 0) == MAXRATE_PRESET.small.alpha_us
+    assert MAXRATE_PRESET.predict(4, 0) == MAXRATE_PRESET.small.alpha_us
 
 
 def test_eval_maxrate_large_class_worked_example():
     # hand arithmetic: 3.44 + (8 * 2097152) / (1502.21 + 7 * 1262.59)
     rate = 1502.21 + 7 * 1262.59
     expected = 3.44 + (8 * 2097152) / rate
-    got = eval_maxrate(MAXRATE_PRESET, 8, 2 * 1024 * 1024)
+    got = MAXRATE_PRESET.predict(8, 2 * 1024 * 1024)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(1626.0, abs=0.5)
 
@@ -286,7 +283,7 @@ def test_eval_maxrate_large_class_worked_example():
 @given(st.integers(min_value=32768, max_value=2**21), st.integers(min_value=32768, max_value=2**21))
 def test_eval_maxrate_monotone_in_size_within_class(m1, m2):
     lo, hi = sorted((m1, m2))
-    assert eval_maxrate(MAXRATE_PRESET, 4, lo) <= eval_maxrate(MAXRATE_PRESET, 4, hi)
+    assert MAXRATE_PRESET.predict(4, lo) <= MAXRATE_PRESET.predict(4, hi)
 
 
 @settings(max_examples=50, deadline=None)
@@ -295,8 +292,8 @@ def test_eval_maxrate_per_worker_latency_nonincreasing_when_b_positive(k, m):
     # the raw window time alpha + k*m/(A + B(k-1)) can grow with k whenever
     # A > B (it does for the large class); the scaling benefit shows in the
     # per-worker time T(k, m) / k, which never gets worse as workers join
-    per_worker_now = eval_maxrate(MAXRATE_PRESET, k, m) / k
-    per_worker_next = eval_maxrate(MAXRATE_PRESET, k + 1, m) / (k + 1)
+    per_worker_now = MAXRATE_PRESET.predict(k, m) / k
+    per_worker_next = MAXRATE_PRESET.predict(k + 1, m) / (k + 1)
     assert per_worker_next <= per_worker_now + 1e-9
 
 
@@ -377,14 +374,15 @@ def test_predict_multipair_without_encryption_cost_is_comm_time():
     zero_enc = MaxRateParams(small=free, moderate=free, large=free)
     m, k = 65536, 4
     got = predict_multipair(comm, zero_enc, k, m)
-    assert got == pytest.approx(multipair_comm_time(comm, k, m), rel=1e-6)
+    p = comm.params_for(m)
+    assert got == pytest.approx(p.alpha_us + p.beta_us_per_byte * k * m, rel=1e-6)
 
 
 def test_predict_multipair_k1_matches_formula():
     comm = MULTIPAIR_HOCKNEY_PRESETS["ethernet"]
     m = 16384
-    t_enc = eval_maxrate(MAXRATE_PRESET, 1, m)
-    t_comm = multipair_comm_time(comm, 1, m)
+    t_enc = MAXRATE_PRESET.predict(1, m)
+    t_comm = comm.predict(m)
     assert predict_multipair(comm, MAXRATE_PRESET, 1, m) == max(t_enc / 2, t_comm) + t_enc / 2
 
 
@@ -398,51 +396,51 @@ def test_overhead_single_large_discussion_values():
     assert overhead_single_large(HockneyParams(1.0, 0.0), IB.rendezvous) == 0.0
 
 
+def flat_line(beta):
+    """A phased communication line with slope beta in both phases."""
+    return PhasedHockneyParams(HockneyParams(1.0, beta), HockneyParams(1.0, beta))
+
+
 def test_overhead_multipair_slow_worked_example():
-    est = overhead_multipair_slow(8e-4, MAXRATE_PRESET.large, 8)
+    ratio, _ = overhead_multipair(flat_line(8e-4), MAXRATE_PRESET, 8, 2 * 1024 * 1024)
     # 1 / (2 * 8e-4 * (1502.21 + 7 * 1262.59))
-    assert est.ratio == pytest.approx(1.0 / (2 * 8e-4 * 10340.34), rel=1e-12)
-    assert est.ratio == pytest.approx(0.0604, abs=1e-4)
-    assert est.in_regime is None
+    assert ratio == pytest.approx(1.0 / (2 * 8e-4 * 10340.34), rel=1e-12)
+    assert ratio == pytest.approx(0.0604, abs=1e-4)
 
 
 def test_overhead_multipair_b_zero_is_k_independent():
     cls = MaxRateClassParams(1.0, 888.5, 0.0)
-    r1 = overhead_multipair_slow(8e-4, cls, 1).ratio
-    r8 = overhead_multipair_slow(8e-4, cls, 8).ratio
+    enc = MaxRateParams(small=cls, moderate=cls, large=cls)
+    r1, _ = overhead_multipair(flat_line(8e-4), enc, 1, 2 * 1024 * 1024)
+    r8, _ = overhead_multipair(flat_line(8e-4), enc, 8, 2 * 1024 * 1024)
     assert r1 == r8
 
 
 def test_overhead_multipair_doubling_beta_halves_overhead():
-    a = overhead_multipair_slow(4e-4, MAXRATE_PRESET.large, 4).ratio
-    b = overhead_multipair_slow(8e-4, MAXRATE_PRESET.large, 4).ratio
+    a, _ = overhead_multipair(flat_line(4e-4), MAXRATE_PRESET, 4, 2 * 1024 * 1024)
+    b, _ = overhead_multipair(flat_line(8e-4), MAXRATE_PRESET, 4, 2 * 1024 * 1024)
     assert a == pytest.approx(2 * b, rel=1e-12)
 
 
 def test_overhead_multipair_regime_tagging():
     comm = MULTIPAIR_HOCKNEY_PRESETS["ethernet"]  # slow network: comm-dominated
-    est = overhead_multipair_slow(
-        comm.rendezvous.beta_us_per_byte, MAXRATE_PRESET.large, 8,
-        comm=comm, enc=MAXRATE_PRESET, m=2 * 1024 * 1024,
-    )
-    assert est.in_regime is True
+    _, in_regime = overhead_multipair(comm, MAXRATE_PRESET, 8, 2 * 1024 * 1024)
+    assert in_regime is True
     fast = PhasedHockneyParams(HockneyParams(0.1, 1e-6), HockneyParams(0.1, 1e-6))
-    est2 = overhead_multipair_slow(
-        1e-6, MAXRATE_PRESET.large, 1, comm=fast, enc=MAXRATE_PRESET, m=2 * 1024 * 1024
-    )
-    assert est2.in_regime is False
+    _, in_regime = overhead_multipair(fast, MAXRATE_PRESET, 1, 2 * 1024 * 1024)
+    assert in_regime is False
 
 
 def test_pipelined_communication_bound_regime():
     # slow network: transmission dominates, overhead vanishes
     m = 2 * 1024 * 1024
-    t_comm = predict_single(ETH, m)
+    t_comm = ETH.predict(m)
     assert predict_pipelined(ETH, BORINGSSL, m) == t_comm
 
 
 def test_pipelined_encryption_bound_regime_is_about_120_percent():
     m = 2 * 1024 * 1024
-    t_comm = predict_single(IB, m)
+    t_comm = IB.predict(m)
     latency = predict_pipelined(IB, BORINGSSL, m)
     overhead = latency / t_comm - 1.0
     assert 1.15 <= overhead <= 1.25  # the slope ratio 6.90/3.12 minus 1, roughly
@@ -451,7 +449,7 @@ def test_pipelined_encryption_bound_regime_is_about_120_percent():
 def test_pipelined_equal_costs():
     comm = PhasedHockneyParams(HockneyParams(1.0, 1e-4), HockneyParams(1.0, 1e-4))
     enc = HockneyParams(1.0, 1e-4)
-    assert predict_pipelined(comm, enc, 5000) == predict_single(comm, 5000)
+    assert predict_pipelined(comm, enc, 5000) == comm.predict(5000)
 
 
 # -- validation reports ----------------------------------------------------------
