@@ -7,7 +7,11 @@ times, stopping as soon as the sample standard deviation is within 5% of
 the mean.  If 100 runs are not enough it keeps going until the 99%
 confidence half-width (normal approximation) is within 5% of the mean,
 or until the hard budget runs out.  Encrypt-decrypt measurements are
-much quieter, so they use the same rule with a 5-run minimum.
+much quieter, so they use the same rule with a 5-run minimum.  With a
+process group, rank 0 applies the rule and every rank stops with it.
+
+Every benchmark first runs untimed warm-up rounds, 10% of its timed
+rounds and at least 10, to shed cold-start effects.
 
 Throughput converts a plaintext byte count and a latency into MB/s with
 MB = 10^6 bytes; the 28 bytes of frame expansion per encrypted message
@@ -24,6 +28,7 @@ import statistics
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable
 
 from . import collectives
@@ -121,69 +126,43 @@ def _stop_decision(latencies: list[float], policy: StopPolicy) -> StopReason | N
     return None
 
 
-def _build_result(
-    latencies: list[float],
-    reason: StopReason,
-    message_size: int,
-    k_pairs: int,
-) -> BenchmarkResult:
-    mean = statistics.fmean(latencies)
-    sd = statistics.stdev(latencies)
-    samples = [
-        LatencySample(message_size, k_pairs, i, lat) for i, lat in enumerate(latencies)
-    ]
-    return BenchmarkResult(
-        samples=samples,
-        mean=mean,
-        stddev=sd,
-        ci99_halfwidth=CI_Z * sd / math.sqrt(len(latencies)),
-        stop_reason=reason,
-    )
-
-
 def run_until_stable(
     measure: Callable[[], float],
     policy: StopPolicy = StopPolicy(),
     *,
-    message_size: int = 0,
-    k_pairs: int = 1,
-) -> BenchmarkResult:
-    """Repeat ``measure`` (returning µs) until the stopping rule fires."""
-    latencies: list[float] = []
-    reason = None
-    while reason is None:
-        latencies.append(float(measure()))
-        reason = _stop_decision(latencies, policy)
-    return _build_result(latencies, reason, message_size, k_pairs)
-
-
-def run_until_stable_group(
-    g: ProcessGroup,
-    measure: Callable[[], float],
-    policy: StopPolicy = StopPolicy(),
-    *,
+    group: ProcessGroup | None = None,
     message_size: int = 0,
     k_pairs: int = 1,
 ) -> BenchmarkResult | None:
-    """Group-synchronous stopping: rank 0's latencies drive the rule.
+    """Repeat ``measure`` (returning µs) until the stopping rule fires.
 
-    Every rank must call this with the same arguments; after each run
-    rank 0 broadcasts its stop reason (empty to continue), so all ranks
-    take the same number of runs.  Each rank's result holds its own local
-    samples with the shared stop reason; ranks that only observed
-    (all-zero local latencies, e.g. idle ranks of a small pair count) get
-    None.
+    With a ``group``, every rank must call this with the same arguments:
+    rank 0's latencies drive the rule, and after each run rank 0
+    broadcasts its stop reason (empty to continue), so all ranks take the
+    same number of runs.  The result holds the caller's own samples with
+    the shared stop reason; a caller that only observed (all local
+    latencies <= 0, e.g. an idle rank of a small pair count) gets None.
     """
     latencies: list[float] = []
     reason: StopReason | None = None
     while reason is None:
         latencies.append(float(measure()))
-        decision = _stop_decision(latencies, policy) if g.rank == 0 else None
-        verdict = collectives.bcast(g, 0, decision.value.encode() if decision else b"")
-        reason = StopReason(verdict.decode()) if verdict else None
+        reason = _stop_decision(latencies, policy) if group is None or group.rank == 0 else None
+        if group is not None:
+            verdict = collectives.bcast(group, 0, reason.value.encode() if reason else b"")
+            reason = StopReason(verdict.decode()) if verdict else None
     if all(lat <= 0 for lat in latencies):
         return None
-    return _build_result(latencies, reason, message_size, k_pairs)
+    sd = statistics.stdev(latencies)
+    return BenchmarkResult(
+        samples=[
+            LatencySample(message_size, k_pairs, i, lat) for i, lat in enumerate(latencies)
+        ],
+        mean=statistics.fmean(latencies),
+        stddev=sd,
+        ci99_halfwidth=CI_Z * sd / math.sqrt(len(latencies)),
+        stop_reason=reason,
+    )
 
 
 def throughput(size_bytes: int, latency_us: float) -> float:
@@ -270,19 +249,17 @@ def multipair(
     size: int,
     iterations: int,
     *,
-    window: int = MULTIPAIR_WINDOW,
     encrypted: bool = True,
-    warmup: int | None = None,
     payload_seed: int | None = None,
 ) -> float:
     """One multi-pair experiment; returns µs per window of 64 messages.
 
-    Ranks 0..k-1 each send ``window`` non-blocking messages per iteration
-    to their partner rank (rank + k) and wait for a short reply before
-    the next iteration; the partner posts ``window`` receives, waits for
-    all of them, then replies.  Rank 0 returns the slowest sender's
-    per-iteration time (the aggregate window latency); other ranks return
-    their local view.
+    Ranks 0..k-1 each send a window of non-blocking messages per
+    iteration to their partner rank (rank + k) and wait for a short reply
+    before the next iteration; the partner posts a window of receives,
+    waits for all of them, then replies.  Rank 0 returns the slowest
+    sender's per-iteration time (the aggregate window latency); other
+    ranks return their local view.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -290,7 +267,6 @@ def multipair(
         raise ValueError(f"group of {g.size} cannot host {k} pairs")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    warmup = max(1, iterations // 10) if warmup is None else warmup
 
     sender = g.rank < k
     participating = g.rank < 2 * k
@@ -305,19 +281,19 @@ def multipair(
 
     def one_iteration() -> None:
         if sender:
-            handles = [isend(peer, DATA_TAG, body) for _ in range(window)]
+            handles = [isend(peer, DATA_TAG, body) for _ in range(MULTIPAIR_WINDOW)]
             for h in handles:
                 h.wait()
             g.recv(peer, REPLY_TAG)
         else:
-            handles = [irecv(peer, DATA_TAG) for _ in range(window)]
+            handles = [irecv(peer, DATA_TAG) for _ in range(MULTIPAIR_WINDOW)]
             for h in handles:
                 h.wait()
             g.send(peer, REPLY_TAG, reply)
 
     elapsed = 0.0
     if participating:
-        for _ in range(warmup):
+        for _ in range(_warmup_rounds(iterations)):
             one_iteration()
     g.barrier()
     if participating:
@@ -346,7 +322,6 @@ def _encdec_init(start_line) -> None:
 def _encdec_worker(
     size: int,
     iterations: int,
-    warmup: int,
     backend: str,
     key: bytes,
     payload_seed: int | None,
@@ -355,7 +330,7 @@ def _encdec_worker(
     provider = create_provider(backend, key)
     buf = _payload(size, payload_seed)
     began = time.perf_counter()
-    for _ in range(warmup):
+    for _ in range(_warmup_rounds(iterations)):
         provider.open(provider.seal(buf))
     # every peer does the same warm-up, so one that is not at the line
     # within twice this worker's own warm-up (plus start-up slack) is stuck
@@ -373,7 +348,6 @@ def encdec_bench(
     threads: int = 1,
     backend: str = DEFAULT_BACKEND,
     key: bytes | None = None,
-    warmup: int | None = None,
     payload_seed: int | None = None,
 ) -> float:
     """One encrypt-then-decrypt experiment; returns µs per round.
@@ -400,7 +374,6 @@ def encdec_bench(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     key_bytes = key if key is not None else bytes(32)
-    warmup = _warmup_rounds(iterations) if warmup is None else warmup
 
     # imported here, not at the top: every rank imports this module, and
     # these would add to its start-up for nothing
@@ -413,7 +386,7 @@ def encdec_bench(
         threads, mp_context=ctx, initializer=_encdec_init, initargs=(start_line,)
     ) as pool:
         runs = [
-            pool.submit(_encdec_worker, size, iterations, warmup, backend, key_bytes, payload_seed)
+            pool.submit(_encdec_worker, size, iterations, backend, key_bytes, payload_seed)
             for _ in range(threads)
         ]
         # submit() wakes the pool's manager thread before it starts a
@@ -435,54 +408,57 @@ def encdec_bench(
     return (end - start) * 1e6 / iterations
 
 
+# op -> (plaintext collective, encrypted collective, its arguments after
+# the group for a rank of group g whose element is body)
+COLLECTIVE_OPS = {
+    "alltoall": (
+        collectives.alltoall,
+        collectives.encrypted_alltoall,
+        lambda g, body: ([body] * g.size,),
+    ),
+    "allgather": (
+        collectives.allgather,
+        collectives.encrypted_allgather,
+        lambda g, body: (body,),
+    ),
+    "bcast": (
+        collectives.bcast,
+        collectives.encrypted_bcast,
+        lambda g, body: (0, body if g.rank == 0 else None),
+    ),
+    "alltoallv": (
+        collectives.alltoallv,
+        collectives.encrypted_alltoallv,
+        lambda g, body: ([body] * g.size, [len(body)] * g.size),
+    ),
+}
+
+
 def collective_bench(
     g: ProcessGroup,
     op: str,
     size: int,
-    iterations: int = COLLECTIVE_ITERATIONS,
+    iterations: int,
     *,
     encrypted: bool = True,
-    warmup: int | None = None,
     payload_seed: int | None = None,
 ) -> float:
-    """Time one collective at one message size; returns µs per call.
+    """Time one collective of ``COLLECTIVE_OPS`` at one message size;
+    returns µs per call.
 
     A barrier separates iterations; the barrier itself is not timed.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    warmup = max(1, iterations // 10) if warmup is None else warmup
     provider = g.provider
     if encrypted and provider is None:
         raise ValueError("group has no AEAD provider configured")
-    body = _payload(size, payload_seed)
-    items = [body] * g.size
-    # op -> (plaintext collective, encrypted collective, arguments after g)
-    ops = {
-        "alltoall": (collectives.alltoall, collectives.encrypted_alltoall, (items,)),
-        "allgather": (collectives.allgather, collectives.encrypted_allgather, (body,)),
-        "bcast": (
-            collectives.bcast,
-            collectives.encrypted_bcast,
-            (0, body if g.rank == 0 else None),
-        ),
-        "alltoallv": (
-            collectives.alltoallv,
-            collectives.encrypted_alltoallv,
-            (items, [size] * g.size),
-        ),
-    }
-    if op not in ops:
-        raise ValueError(f"op must be one of {tuple(ops)}")
-    plain_fn, encrypted_fn, args = ops[op]
-
-    def call() -> None:
-        if encrypted:
-            encrypted_fn(g, provider, *args)
-        else:
-            plain_fn(g, *args)
-
-    for _ in range(warmup):
+    if op not in COLLECTIVE_OPS:
+        raise ValueError(f"op must be one of {tuple(COLLECTIVE_OPS)}")
+    plain_fn, encrypted_fn, arguments = COLLECTIVE_OPS[op]
+    args = arguments(g, _payload(size, payload_seed))
+    call = partial(encrypted_fn, g, provider, *args) if encrypted else partial(plain_fn, g, *args)
+    for _ in range(_warmup_rounds(iterations)):
         g.barrier()
         call()
     total = 0.0

@@ -211,9 +211,8 @@ def cmd_bench(args) -> int:
     lines: list[str] = []
     with group as g:
         reporting = local or g.rank == 0
-        run = benchmarks.run_until_stable if local else partial(benchmarks.run_until_stable_group, g)
         for size, k, measure, multiplier in BENCH_POINTS[args.kind](args, g):
-            res = run(measure, policy, message_size=size, k_pairs=k)
+            res = benchmarks.run_until_stable(measure, policy, group=g, message_size=size, k_pairs=k)
             if reporting and res is not None:
                 collected.extend(res.samples)
                 mbps = benchmarks.throughput(size, res.mean) * multiplier if size > 0 else None
@@ -288,6 +287,8 @@ def _point_model(mode: str, ps: ParameterSet, plaintext: bool) -> tuple[Callable
             return lambda size, k: ps.hockney.predict(size), False
         enhanced = compose_enhanced(ps.hockney, ps.encdec)
         return lambda size, k: enhanced.predict(size), True
+    if plaintext:
+        raise UsageError("multipair mode models encrypted pairs only; drop --plaintext")
     if ps.hockney is None or ps.maxrate is None:
         raise UsageError("multipair mode needs hockney and maxrate sections")
     return lambda size, k: models.predict_multipair(ps.hockney, ps.maxrate, k, size), True
@@ -367,7 +368,13 @@ def cmd_validate(args) -> int:
     ps = _load_parameter_set(args, flavor)
     measured = models.mean_latency_by_key(samples)
     predict, _ = _point_model(args.mode, ps, args.plaintext)
-    predicted = {(size, k): predict(size, k) for size, k in measured}
+    # the multipair model needs a positive size; a 0-byte point is
+    # reported as having no prediction
+    predicted = {
+        (size, k): predict(size, k)
+        for size, k in measured
+        if size > 0 or args.mode == "single"
+    }
 
     report = models.validate(measured, predicted)
     print(f"{'size_bytes':>10} {'k':>3} {'predicted_us':>13} {'measured_us':>13} {'rel_error':>10}")
@@ -414,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", type=_int_list, default=[1024], help="comma list of bytes")
     bench.add_argument("--pairs", type=_int_list, default=[1], help="comma list of pair counts")
     bench.add_argument("--threads", type=_int_list, default=[1], help="comma list of worker process counts")
-    bench.add_argument("--op", default="alltoall", choices=["alltoall", "allgather", "bcast", "alltoallv"])
+    bench.add_argument("--op", default="alltoall", choices=list(benchmarks.COLLECTIVE_OPS))
     bench.add_argument("--scale", type=float, default=1.0, help="iteration-count multiplier")
     bench.add_argument("--seed", type=int, default=None, help="payload generator seed")
     bench.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD, help="eager/rendezvous split, bytes")

@@ -30,8 +30,11 @@ queued on it and every receive posted or matched on it fails with
 ``ConnectionLost``; the peer's reader then sees EOF and does the same.
 ``close()`` fails whatever still waits on any connection the same way,
 and every call made after ``close()`` raises ``ConnectionLost``.  The
-first cause of a connection's death is kept, and every later call on
-that connection raises ``ConnectionLost`` naming it.
+first cause of a connection's death is kept, and every later send on
+that connection raises ``ConnectionLost`` naming it.  A later receive
+still takes a message that arrived whole before the connection died,
+in arrival order; it raises only when nothing deliverable is queued for
+it (an RTS whose body never came is not deliverable).
 
 The wire path copies no payload it does not have to.  Each connection's
 reader thread reads through a buffered file over the socket: a small
@@ -493,18 +496,17 @@ class ProcessGroup:
 
     # -- point-to-point API ----------------------------------------------
 
-    def _check_peer(self, peer: int) -> _Conn:
+    def _conn_to(self, peer: int) -> _Conn:
         if peer == self.rank:
             raise ValueError("self-addressed messages are not supported")
         if not 0 <= peer < self.size:
             raise ValueError(f"rank {peer} out of range for group of {self.size}")
-        conn = self._conns[peer]
-        if conn.error is not None:
-            raise conn.lost()
-        return conn
+        return self._conns[peer]
 
     def _post_send(self, dest: int, tag: int, body: bytes, classify_len: int) -> RequestHandle:
-        conn = self._check_peer(dest)
+        conn = self._conn_to(dest)
+        if conn.error is not None:
+            raise conn.lost()
         if len(body) > _MAX_BODY:
             raise ValueError("message larger than the u32 wire limit")
         handle = RequestHandle(HandleKind.SEND)
@@ -518,18 +520,24 @@ class ProcessGroup:
         return handle
 
     def _post_recv(self, src: int, tag: int, provider: AeadProvider | None) -> RequestHandle:
-        conn = self._check_peer(src)
+        conn = self._conn_to(src)
+        if self._closing:
+            raise conn.lost()
         handle = RequestHandle(HandleKind.RECV, provider=provider)
         key = (src, tag)
         with self._match_lock:
-            if conn.error is not None:
-                handle._fail(conn.lost())
-                return handle
             queue = self._inbound.get(key)
-            if not queue:
+            item = queue[0] if queue else None
+            # an eager body that arrived before the connection died is
+            # still delivered; an RTS whose body never came is not.
+            # _on_connection_dead sets conn.error before it takes this
+            # lock to fail the posted receives, so none is left behind
+            if conn.error is not None and not isinstance(item, bytes):
+                raise conn.lost()
+            if item is None:
                 self._posted.setdefault(key, deque()).append(handle)
                 return handle
-            item = queue.popleft()
+            queue.popleft()
             if not queue:
                 del self._inbound[key]
             if isinstance(item, _RdvArrival):

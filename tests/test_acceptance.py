@@ -255,11 +255,11 @@ def test_acceptance_7_benchmark_methodology(capsys):
     policy = StopPolicy(hard_budget=400)
 
     def fn(g):
-        plain = bm.run_until_stable_group(
-            g, lambda: bm.pingpong(g, size, rounds, encrypted=False), policy
+        plain = run_until_stable(
+            lambda: bm.pingpong(g, size, rounds, encrypted=False), policy, group=g
         )
-        enc = bm.run_until_stable_group(
-            g, lambda: bm.pingpong(g, size, rounds, encrypted=True), policy
+        enc = run_until_stable(
+            lambda: bm.pingpong(g, size, rounds, encrypted=True), policy, group=g
         )
         return plain, enc
 

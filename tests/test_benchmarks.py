@@ -1,3 +1,4 @@
+import collections
 import math
 import multiprocessing
 import os
@@ -21,7 +22,6 @@ from secmsg.benchmarks import (
     encdec_bench,
     read_samples_csv,
     run_until_stable,
-    run_until_stable_group,
     throughput,
     write_samples_csv,
 )
@@ -320,6 +320,41 @@ def test_collective_bench_tiny_alltoall_dominated_by_fixed_costs():
     assert one < 3 * sixteen
 
 
+def test_multipair_and_collective_bench_share_the_warmup_rule():
+    # both run _warmup_rounds(n) untimed rounds before their n timed ones;
+    # the rounds are counted through the group's own calls
+    n = 3
+    rounds = bm._warmup_rounds(n) + n
+
+    def fn(g):
+        tags = collections.Counter()
+        barriers = 0
+        isend, barrier = g.isend, g.barrier
+
+        def counting_isend(dest, tag, body):
+            tags[tag] += 1
+            return isend(dest, tag, body)
+
+        def counting_barrier():
+            nonlocal barriers
+            barriers += 1
+            barrier()
+
+        g.isend = counting_isend
+        bm.multipair(g, 1, 16, n, encrypted=False)
+        # the sender posts a window of data messages per round, and its
+        # partner replies once per round
+        if g.rank == 0:
+            multipair_rounds = tags[bm.DATA_TAG] / bm.MULTIPAIR_WINDOW
+        else:
+            multipair_rounds = tags[bm.REPLY_TAG]
+        g.barrier = counting_barrier  # one barrier precedes each round
+        bm.collective_bench(g, "bcast", 16, n, encrypted=False)
+        return multipair_rounds, barriers
+
+    assert run_ranks(2, fn, with_provider=False) == [(rounds, rounds)] * 2
+
+
 def test_group_stop_rule_runs_same_count_on_all_ranks():
     policy = StopPolicy(min_runs=5, max_runs_phase1=8, hard_budget=12)
 
@@ -331,7 +366,7 @@ def test_group_stop_rule_runs_same_count_on_all_ranks():
             calls += 1
             return bm.pingpong(g, 64, 20, encrypted=False)
 
-        result = run_until_stable_group(g, measure, policy)
+        result = run_until_stable(measure, policy, group=g)
         return calls, result.run_count, result.stop_reason
 
     results = run_ranks(2, fn, with_provider=False)

@@ -292,6 +292,38 @@ def test_validate_multipair_identity(tmp_path, capsys):
     assert len([l for l in out.splitlines() if l.startswith("MAPE size")]) == 3
 
 
+def test_validate_multipair_lists_a_zero_byte_point_without_prediction(tmp_path, capsys):
+    comm = MULTIPAIR_HOCKNEY_PRESETS["ib"]
+    samples = [LatencySample(0, 2, run, 5.0) for run in range(2)] + [
+        LatencySample(1024, 2, run, predict_multipair(comm, MAXRATE_PRESET, 2, 1024))
+        for run in range(2)
+    ]
+    path = str(tmp_path / "mp.csv")
+    write_samples_csv(path, samples)
+    rc = main(["validate", "--measured", path, "--mode", "multipair", "--preset", "ib"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[1].split()[:2] == ["1024", "2"]  # the only row
+    assert lines[2:] == ["MAPE size 1024: 0.0000", "MAPE overall: 0.0000"]
+    assert "warning: no prediction for (size=0, k=2)" in captured.err
+
+
+@pytest.mark.parametrize("command", ["predict", "validate"])
+def test_multipair_model_rejects_plaintext(command, tmp_path, capsys):
+    # the multipair model always includes encryption
+    path = str(tmp_path / "mp.csv")
+    write_samples_csv(path, [LatencySample(1024, 2, run, 50.0) for run in range(2)])
+    argv = {
+        "predict": ["predict", "--pairs", "2", "--size", "1024"],
+        "validate": ["validate", "--measured", path],
+    }[command] + ["--mode", "multipair", "--preset", "ib"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--plaintext"]) == 1
+    assert "--plaintext" in capsys.readouterr().err
+
+
 def test_env_var_overrides_key_flag(tmp_path, monkeypatch):
     monkeypatch.setenv("SECMSG_KEY", "zz-not-hex")
     rc = main(["bench", "encdec", "--sizes", "16", "--key", "00" * 32, "--scale", "0.001"])

@@ -244,11 +244,19 @@ def test_crossing_rendezvous_transfers_fail_fast_on_both_ranks():
     assert any("both directions" in m for m in messages)
 
 
-@pytest.mark.parametrize("posted", ["before_rts", "after_rts"])
+def _poll_until(condition) -> None:
+    deadline = time.monotonic() + 10
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert condition()
+
+
+@pytest.mark.parametrize("posted", ["before_rts", "after_rts", "after_death"])
 def test_matched_rendezvous_receive_fails_when_connection_dies(posted):
     # rank 1 announces a body it never sends and drops the connection;
-    # rank 0's receive is already matched to that announcement
-    receive_posted = threading.Event()
+    # rank 0's receive is matched to that announcement before the drop,
+    # or, "after_death", posted once the dead connection left it queued
+    may_drop = threading.Event()
 
     def fn(g):
         if g.rank == 0:
@@ -257,23 +265,42 @@ def test_matched_rendezvous_receive_fails_when_connection_dies(posted):
                 g.barrier()
             else:
                 g.barrier()
-                deadline = time.monotonic() + 10
-                while (1, DATA) not in g._inbound and time.monotonic() < deadline:
-                    time.sleep(0.001)
-                h = g.irecv(1, DATA)
-            receive_posted.set()
-            with pytest.raises(ConnectionLost):
-                h.wait(timeout=10)
+                _poll_until(lambda: (1, DATA) in g._inbound)
+                if posted == "after_rts":
+                    h = g.irecv(1, DATA)
+            may_drop.set()
+            if posted == "after_death":
+                _poll_until(lambda: g._conns[1].error is not None)
+                with pytest.raises(ConnectionLost):
+                    g.irecv(1, DATA).wait(timeout=10)
+            else:
+                with pytest.raises(ConnectionLost):
+                    h.wait(timeout=10)
             return True
         g.barrier()
         conn = g._conns[0]
         with conn.lock:
             conn.write(HEADER.pack(MODE_RTS, 200_000, DATA))
-        assert receive_posted.wait(10)
+        assert may_drop.wait(10)
         g.close(synchronize=False)
         return True
 
     assert run_ranks(2, fn, with_provider=False, timeout=20) == [True, True]
+
+
+def test_receive_takes_a_message_that_arrived_before_the_connection_died():
+    def fn(g):
+        if g.rank == 0:
+            g.send(1, DATA, b"last")
+            g.close(synchronize=False)
+            return True
+        _poll_until(lambda: g._conns[0].error is not None)
+        got = g.recv(0, DATA)
+        with pytest.raises(ConnectionLost):
+            g.recv(0, DATA)
+        return got
+
+    assert run_ranks(2, fn, with_provider=False, timeout=30) == [True, b"last"]
 
 
 class _FailingWrites:
