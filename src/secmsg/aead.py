@@ -112,13 +112,6 @@ class Frame:
 
     __slots__ = ("_buf",)
 
-    def __init__(self, nonce: bytes, ciphertext_and_tag: bytes):
-        if len(nonce) != NONCE_LEN:
-            raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-        if len(ciphertext_and_tag) < TAG_LEN:
-            raise ValueError("ciphertext shorter than the authentication tag")
-        self._buf = b"".join((nonce, ciphertext_and_tag))
-
     @property
     def nonce(self) -> bytes:
         return bytes(self._buf[:NONCE_LEN])
@@ -140,7 +133,7 @@ class Frame:
             raise ValueError(
                 f"frame must be at least {FRAME_OVERHEAD} bytes, got {len(raw)}"
             )
-        frame = cls.__new__(cls)
+        frame = cls()
         frame._buf = raw
         return frame
 

@@ -16,7 +16,10 @@ verdict.
 
 Self-addressed elements bypass the wire but are still sealed and opened,
 so every rank performs exactly ``n`` seal calls and ``n`` open calls in
-an all-to-all of group size ``n``.
+an all-to-all of group size ``n``.  The sealed frames go out as plain
+messages, so the transport's eager/rendezvous split falls on the frame
+length (plaintext + 28), not on the plaintext length as it does for the
+point-to-point encrypted calls.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ from __future__ import annotations
 import struct
 
 from .aead import AeadProvider, Frame, FRAME_OVERHEAD, IntegrityError
-from .transport import COLLECTIVE_TAG, ProcessGroup, TransportError
-
-_U32_MAX = 0xFFFFFFFF
+from .transport import COLLECTIVE_TAG, MAX_BODY, ProcessGroup, TransportError
 
 
 class ProtocolError(TransportError):
@@ -84,13 +85,17 @@ def allgather(g: ProcessGroup, element: bytes) -> list[bytes]:
 
 
 def bcast(g: ProcessGroup, root: int, body: bytes | None = None) -> bytes:
-    """Binomial-tree broadcast; returns the root's body at every rank."""
+    """Binomial-tree broadcast; returns the root's body at every rank.
+
+    The root gets back the object it was given, not a copy, as does the
+    self slot of ``alltoall``.
+    """
     if not 0 <= root < g.size:
         raise ValueError(f"root {root} out of range for group of {g.size}")
     if g.rank == root:
         if body is None:
             raise ValueError("root must supply a body")
-        data = bytes(body)
+        data = body
     else:
         data = b""
 
@@ -114,8 +119,8 @@ def bcast(g: ProcessGroup, root: int, body: bytes | None = None) -> bytes:
 def _check_arguments(n: int, sendbuf: list[bytes], recv_lengths: list[int]) -> None:
     if len(sendbuf) != n or len(recv_lengths) != n:
         raise ValueError(f"sendbuf and recv_lengths must each have {n} elements")
-    if not all(0 <= length <= _U32_MAX for length in recv_lengths):
-        raise ValueError(f"recv_lengths must be in [0, {_U32_MAX}]")
+    if not all(0 <= length <= MAX_BODY for length in recv_lengths):
+        raise ValueError(f"recv_lengths must be in [0, {MAX_BODY}]")
 
 
 def alltoallv(g: ProcessGroup, sendbuf: list[bytes], recv_lengths: list[int]) -> list[bytes]:

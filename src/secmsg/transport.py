@@ -12,7 +12,17 @@ a matching receive is posted, and only then does the body follow.
 Encrypted variants carry a sealed frame as the body (wire body is 28
 bytes longer than the plaintext); the eager/rendezvous decision is made
 on the plaintext length so that the protocol split lines up with the
-sizes a benchmark sweep requests.
+sizes a benchmark sweep requests.  (``collectives`` seals its elements
+itself and sends the frames as plain messages, so its split is on the
+frame length.)
+
+Receives are matched per (source, tag) in arrival order, with two FIFO
+queues of ``RequestHandle``s: posted receives that no message has
+reached yet, and arrivals that no receive has taken yet.  An arriving
+message takes the oldest posted receive or queues a new handle; an eager
+body completes a queued handle at once, so a queued handle that is not
+done is an RTS, and the receive that takes it sends the CTS.  The handle
+that a receive returns is the one its message completes.
 
 Per connection, sends go out in the order they were posted: at most one
 rendezvous send is in flight at a time, and sends queued behind it drain
@@ -32,9 +42,10 @@ queued on it and every receive posted or matched on it fails with
 and every call made after ``close()`` raises ``ConnectionLost``.  The
 first cause of a connection's death is kept, and every later send on
 that connection raises ``ConnectionLost`` naming it.  A later receive
-still takes a message that arrived whole before the connection died,
-in arrival order; it raises only when nothing deliverable is queued for
-it (an RTS whose body never came is not deliverable).
+still takes whatever arrived before the connection died, in arrival
+order: a message that arrived whole completes it, and an RTS whose body
+never came is failed, so its ``wait()`` raises ``ConnectionLost``.  Only
+when nothing is queued for it does the receive call itself raise.
 
 The wire path copies no payload it does not have to.  Each connection's
 reader thread reads through a buffered file over the socket: a small
@@ -50,7 +61,6 @@ for internal use (barrier, collectives).
 
 from __future__ import annotations
 
-import enum
 import socket
 import struct
 import threading
@@ -72,7 +82,7 @@ DEFAULT_THRESHOLD = 131072  # plaintext bytes; at or above goes rendezvous
 BARRIER_TAG = 0xFFFFFFFF
 COLLECTIVE_TAG = 0xFFFFFFFE
 
-_MAX_BODY = 0xFFFFFFFF
+MAX_BODY = 0xFFFFFFFF  # a body length must fit the header's u32
 
 
 class TransportError(Exception):
@@ -90,11 +100,6 @@ class ConnectionLost(TransportError):
 def _byte_sized(body) -> bytes | bytearray | memoryview:
     """``body`` itself, or a byte-format view of it, so ``len`` counts bytes."""
     return body if isinstance(body, (bytes, bytearray)) else memoryview(body).cast("B")
-
-
-class HandleKind(enum.Enum):
-    SEND = "send"
-    RECV = "recv"
 
 
 def read_roster(path: str) -> list[tuple[str, int]]:
@@ -127,26 +132,26 @@ def write_roster(path: str, roster: list[tuple[str, int]]) -> None:
 class RequestHandle:
     """Completion handle for a non-blocking send or receive.
 
-    ``wait`` is idempotent; waiting on a completed handle returns
-    immediately.  For encrypted receives the frame is opened inside the
-    first ``wait`` call, and only then does ``data`` expose plaintext.
+    A receive handle carries a body once complete; a send handle carries
+    none.  ``wait`` is idempotent; waiting on a completed handle returns
+    immediately.  For encrypted receives the first ``wait`` opens the
+    frame and replaces the body with the plaintext, and only then does
+    ``data`` expose it; concurrent ``wait`` calls open it once.
     """
 
-    def __init__(self, kind: HandleKind, provider: AeadProvider | None = None):
-        self.kind = kind
+    def __init__(self, provider: AeadProvider | None = None):
         self._event = threading.Event()
         self._error: Exception | None = None
-        self._raw: bytes | None = None
-        self._plain: bytes | None = None
-        self._provider = provider
-        self._decrypt_lock = threading.Lock()
+        self._body: bytes | None = None
+        self._provider = provider  # set while the body is a sealed frame
+        self._open_lock = threading.Lock()
 
     @property
     def done(self) -> bool:
         return self._event.is_set()
 
     def _complete(self, body: bytes | None = None) -> None:
-        self._raw = body
+        self._body = body
         self._event.set()
 
     def _fail(self, error: Exception) -> None:
@@ -155,50 +160,36 @@ class RequestHandle:
 
     def wait(self, timeout: float | None = None) -> None:
         if not self._event.wait(timeout):
-            raise TimeoutError(f"{self.kind.value} not complete after {timeout}s")
-        if self._error is not None:
-            raise self._error
-        if self._provider is not None and self._plain is None:
-            with self._decrypt_lock:
-                if self._plain is None and self._error is None:
+            raise TimeoutError(f"request not complete after {timeout}s")
+        if self._provider is not None and self._error is None:
+            with self._open_lock:
+                if self._provider is not None and self._error is None:
                     try:
-                        frame = Frame.from_bytes(self._raw or b"")
-                        self._plain = self._provider.open(frame)
+                        self._body = self._provider.open(Frame.from_bytes(self._body))
                     except (IntegrityError, ValueError) as exc:
                         err = exc if isinstance(exc, IntegrityError) else IntegrityError(str(exc))
                         self._error = err
-            if self._error is not None:
-                raise self._error
+                    self._provider = None
+        if self._error is not None:
+            raise self._error
 
     @property
     def data(self) -> bytes:
-        if self.kind is not HandleKind.RECV:
-            raise TransportError("send handles carry no data")
         if not self.done:
-            raise TransportError("receive not complete; call wait() first")
+            raise TransportError("request not complete; call wait() first")
         if self._error is not None:
             raise self._error
+        if self._body is None:
+            raise TransportError("send handles carry no data")
         if self._provider is not None:
-            if self._plain is None:
-                raise TransportError("encrypted receive not opened; call wait() first")
-            return self._plain
-        return self._raw if self._raw is not None else b""
+            raise TransportError("encrypted receive not opened; call wait() first")
+        return self._body
 
 
 def waitall(handles, timeout: float | None = None) -> None:
     """Complete every handle; order of completion is immaterial."""
     for h in handles:
         h.wait(timeout)
-
-
-class _RdvArrival:
-    """An announced inbound rendezvous transfer awaiting CTS and body."""
-
-    __slots__ = ("conn", "handle")
-
-    def __init__(self, conn: "_Conn"):
-        self.conn = conn
-        self.handle: RequestHandle | None = None
 
 
 class _Conn:
@@ -265,11 +256,11 @@ class ProcessGroup:
         self._closing = False
         self._listener: socket.socket | None = None
 
-        # matching engine: per (src, tag), posted receives and inbound
-        # traffic queue, kept in one FIFO each so arrival order is kept
+        # matching engine: per (src, tag), one FIFO of posted receives and
+        # one of arrivals no receive has taken yet, both of handles
         self._match_lock = threading.Lock()
         self._posted: dict[tuple[int, int], deque[RequestHandle]] = {}
-        self._inbound: dict[tuple[int, int], deque] = {}
+        self._inbound: dict[tuple[int, int], deque[RequestHandle]] = {}
 
         if n > 1:
             try:
@@ -298,8 +289,8 @@ class ProcessGroup:
         # ranks dial their lower-numbered peers; the listener fields the rest
         for peer in range(self.rank):
             sock = self._dial(peer, deadline)
-            sock.sendall(HELLO.pack(self.rank))
             self._add_conn(peer, sock)
+            sock.sendall(HELLO.pack(self.rank))
 
         expected = set(range(self.rank + 1, self.size))
         while expected:
@@ -340,8 +331,6 @@ class ProcessGroup:
             try:
                 sock.settimeout(max(0.2, min(2.0, deadline - time.monotonic())))
                 sock.connect((host, port))
-                sock.settimeout(None)
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 return sock
             except OSError as exc:
                 sock.close()
@@ -376,7 +365,7 @@ class ProcessGroup:
         # the file holds a reference to the socket's descriptor, which
         # close() therefore releases only once this thread closes the file
         rfile = conn.sock.makefile("rb")
-        arrival: _RdvArrival | None = None  # the body being read, if any
+        rdv: RequestHandle | None = None  # the rendezvous receive being read, if any
         try:
             while True:
                 first = conn.read_exact(rfile, 1)
@@ -386,8 +375,8 @@ class ProcessGroup:
                 mode, length, tag = HEADER.unpack(first + conn.read_exact(rfile, HEADER.size - 1))
                 if mode == MODE_EAGER:
                     body = conn.read_exact(rfile, length)
-                    handle = self._match_arrival(conn.peer, tag, body)
-                    if handle is not None:
+                    handle, posted = self._match_arrival(conn.peer, tag, body)
+                    if posted:
                         handle._complete(body)
                 elif mode == MODE_RTS:
                     if conn.awaiting_cts:
@@ -398,21 +387,19 @@ class ProcessGroup:
                             "transfer while ours to it awaits CTS; a connection must not "
                             "carry rendezvous transfers in both directions at once"
                         )
-                    arrival = _RdvArrival(conn)
-                    handle = self._match_arrival(conn.peer, tag, arrival)
-                    if handle is not None:
-                        arrival.handle = handle
+                    rdv, posted = self._match_arrival(conn.peer, tag, None)
+                    if posted:
                         self._send_cts(conn)
                     # body bytes only start flowing after our CTS goes out
                     body = conn.read_exact(rfile, length)
-                    if arrival.handle is None:
+                    if not posted and self._still_queued(conn.peer, tag, rdv):
                         raise ConnectionLost(f"peer {conn.peer} sent a body before CTS")
-                    arrival.handle._complete(body)
-                    arrival = None
+                    rdv._complete(body)
+                    rdv = None
                 else:
                     raise ConnectionLost(f"peer {conn.peer} sent unknown mode {mode}")
         except (ConnectionLost, OSError) as exc:
-            self._on_connection_dead(conn, exc, arrival)
+            self._on_connection_dead(conn, exc, rdv)
         finally:
             rfile.close()
 
@@ -444,32 +431,46 @@ class ProcessGroup:
                 conn.write(header)
 
     def _match_arrival(
-        self, src: int, tag: int, item: bytes | _RdvArrival
-    ) -> RequestHandle | None:
-        """Return the oldest receive posted for (src, tag), or queue ``item``
-        (a body, or an _RdvArrival) for the next receive to take."""
+        self, src: int, tag: int, body: bytes | None
+    ) -> tuple[RequestHandle, bool]:
+        """Return ``(handle, True)`` for the oldest receive posted for (src,
+        tag), or ``(handle, False)`` for a new handle queued for the next
+        receive to take.  An eager ``body`` completes a queued handle here,
+        so a queued handle that is not done is an RTS (``body`` None)
+        awaiting its CTS."""
         key = (src, tag)
         with self._match_lock:
             posted = self._posted.get(key)
             if not posted:
-                self._inbound.setdefault(key, deque()).append(item)
-                return None
+                handle = RequestHandle()
+                if body is not None:
+                    handle._complete(body)
+                self._inbound.setdefault(key, deque()).append(handle)
+                return handle, False
             handle = posted.popleft()
             if not posted:
                 del self._posted[key]
-            return handle
+            return handle, True
+
+    def _still_queued(self, src: int, tag: int, handle: RequestHandle) -> bool:
+        # only src's reader appends to (src, tag), so a handle it queued
+        # is the newest there until a receive takes it (and sends CTS)
+        with self._match_lock:
+            queue = self._inbound.get((src, tag))
+            return queue is not None and queue[-1] is handle
 
     def _send_cts(self, conn: _Conn) -> None:
         with conn.lock:
             conn.write(_CTS)
 
     def _on_connection_dead(
-        self, conn: _Conn, exc: Exception, arrival: _RdvArrival | None
+        self, conn: _Conn, exc: Exception, rdv: RequestHandle | None
     ) -> None:
         """Fail everything still waiting on ``conn``: queued sends, posted
-        receives and ``arrival``, the rendezvous whose body was being
-        read.  The socket is shut down so the peer's reader sees EOF.  The
-        first cause stays on ``conn`` and fails all of it."""
+        receives and ``rdv``, the rendezvous receive whose body was being
+        read, whether or not a receive has taken it yet.  The socket is
+        shut down so the peer's reader sees EOF.  The first cause stays on
+        ``conn`` and fails all of it."""
         if conn.error is None:
             conn.error = exc if isinstance(exc, TransportError) else ConnectionLost(str(exc))
         error = conn.error
@@ -481,12 +482,9 @@ class ProcessGroup:
             conn.awaiting_cts = False
             while conn.out_queue:
                 conn.out_queue.popleft()[1]._fail(error)
+        if rdv is not None:
+            rdv._fail(error)
         with self._match_lock:
-            # _post_recv attaches a handle to a queued arrival under this
-            # lock, so either it is attached by now or the receive sees
-            # conn.error, which is set before this lock is taken
-            if arrival is not None and arrival.handle is not None:
-                arrival.handle._fail(error)
             for (src, _tag), handles in list(self._posted.items()):
                 if src != conn.peer:
                     continue
@@ -507,9 +505,9 @@ class ProcessGroup:
         conn = self._conn_to(dest)
         if conn.error is not None:
             raise conn.lost()
-        if len(body) > _MAX_BODY:
+        if len(body) > MAX_BODY:
             raise ValueError("message larger than the u32 wire limit")
-        handle = RequestHandle(HandleKind.SEND)
+        handle = RequestHandle()
         mode = MODE_RTS if classify_len >= self.threshold else MODE_EAGER
         try:
             with conn.lock:
@@ -523,32 +521,26 @@ class ProcessGroup:
         conn = self._conn_to(src)
         if self._closing:
             raise conn.lost()
-        handle = RequestHandle(HandleKind.RECV, provider=provider)
         key = (src, tag)
         with self._match_lock:
             queue = self._inbound.get(key)
-            item = queue[0] if queue else None
-            # an eager body that arrived before the connection died is
-            # still delivered; an RTS whose body never came is not.
-            # _on_connection_dead sets conn.error before it takes this
-            # lock to fail the posted receives, so none is left behind
-            if conn.error is not None and not isinstance(item, bytes):
-                raise conn.lost()
-            if item is None:
+            if not queue:
+                # _on_connection_dead sets conn.error before it takes this
+                # lock to fail the posted receives, so none is left behind
+                if conn.error is not None:
+                    raise conn.lost()
+                handle = RequestHandle(provider)
                 self._posted.setdefault(key, deque()).append(handle)
                 return handle
-            queue.popleft()
+            handle = queue.popleft()
             if not queue:
                 del self._inbound[key]
-            if isinstance(item, _RdvArrival):
-                item.handle = handle
-        if isinstance(item, _RdvArrival):
+        handle._provider = provider
+        if not handle.done:  # an RTS awaiting CTS; a dead reader fails it
             try:
-                self._send_cts(item.conn)
+                self._send_cts(conn)
             except OSError as exc:
-                self._on_connection_dead(item.conn, exc, item)
-        else:
-            handle._complete(item)
+                self._on_connection_dead(conn, exc, handle)
         return handle
 
     def isend(self, dest: int, tag: int, body: bytes) -> RequestHandle:

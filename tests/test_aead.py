@@ -80,7 +80,7 @@ def test_frame_layout_nonce_then_ciphertext(provider):
     with pytest.raises(ValueError):
         Frame.from_bytes(raw[:20])
     with pytest.raises(IntegrityError):
-        provider.open(Frame(raw[:12], raw[12:-1]))
+        provider.open(Frame.from_bytes(raw[:-1]))
 
 
 def test_frame_wraps_and_returns_its_buffer_without_copying(provider):

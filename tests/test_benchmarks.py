@@ -311,10 +311,13 @@ def test_collective_bench_encrypted_vs_plaintext_ratio_finite():
 
 
 def test_collective_bench_tiny_alltoall_dominated_by_fixed_costs():
+    # interleaved repeats; the medians absorb a one-off host stall
     def fn(g):
-        one = bm.collective_bench(g, "alltoall", 1, 40)
-        sixteen = bm.collective_bench(g, "alltoall", 16, 40)
-        return one, sixteen
+        one, sixteen = [], []
+        for _ in range(5):
+            one.append(bm.collective_bench(g, "alltoall", 1, 40))
+            sixteen.append(bm.collective_bench(g, "alltoall", 16, 40))
+        return statistics.median(one), statistics.median(sixteen)
 
     one, sixteen = run_ranks(2, fn)[0]
     assert one < 3 * sixteen

@@ -288,6 +288,25 @@ def test_matched_rendezvous_receive_fails_when_connection_dies(posted):
     assert run_ranks(2, fn, with_provider=False, timeout=20) == [True, True]
 
 
+def test_rendezvous_body_sent_before_cts_fails_the_connection():
+    # rank 1 writes an RTS and its body without waiting for CTS; no
+    # receive is posted at rank 0, so its reader must see the violation
+    def fn(g):
+        if g.rank == 1:
+            conn = g._conns[0]
+            with conn.lock:
+                conn.write(HEADER.pack(MODE_RTS, 1000, DATA) + bytes(1000))
+            _poll_until(lambda: conn.error is not None)  # rank 0 dropped it
+            return True
+        _poll_until(lambda: g._conns[1].error is not None)
+        assert "before CTS" in str(g._conns[1].error)
+        with pytest.raises(ConnectionLost, match="before CTS"):
+            g.irecv(1, DATA).wait(timeout=10)
+        return True
+
+    assert run_ranks(2, fn, with_provider=False, timeout=30) == [True, True]
+
+
 def test_receive_takes_a_message_that_arrived_before_the_connection_died():
     def fn(g):
         if g.rank == 0:
@@ -560,6 +579,44 @@ def test_encrypted_irecv_decrypts_inside_wait():
             return True
 
     assert run_ranks(2, fn)[1] is True
+
+
+def test_concurrent_waits_open_an_encrypted_receive_once():
+    body = os.urandom(4096)
+
+    def fn(g):
+        if g.rank == 0:
+            g.encrypted_send(1, DATA, body)
+            return None
+        opens = []
+        open_frame = g.provider.open
+
+        def slow_open(frame):
+            opens.append(frame)
+            time.sleep(0.05)  # keep the other waiters at the lock
+            return open_frame(frame)
+
+        g.provider.open = slow_open
+        h = g.encrypted_irecv(0, DATA)
+        _poll_until(lambda: h.done)
+        start = threading.Barrier(4)
+        got = []
+
+        def waiter():
+            start.wait(10)
+            h.wait(timeout=10)
+            got.append(h.data)
+
+        waiters = [threading.Thread(target=waiter) for _ in range(4)]
+        for t in waiters:
+            t.start()
+        for t in waiters:
+            t.join(20)
+        return len(opens), got
+
+    opens, got = run_ranks(2, fn)[1]
+    assert opens == 1
+    assert got == [body] * 4
 
 
 def test_wrong_key_surfaces_integrity_error_from_wait():
