@@ -1,20 +1,23 @@
 """Rank-addressed point-to-point messaging over a TCP mesh.
 
 A process group is fully connected: exactly one TCP connection per
-unordered pair of ranks.  Every wire unit leads with its mode byte, and
-the reader dispatches on the first byte it reads.  A message starts
-with a 12-byte little-endian header ``[u8 mode][3 zero bytes][u32
-body_length][u32 tag]``.  Messages whose payload classifies below the
-configured threshold are sent eagerly (header and body written back to
-back); larger ones use a rendezvous handshake: the header goes out with
-mode RTS, the receiver answers with the one-byte unit ``MODE_CTS`` once
-a matching receive is posted, and only then does the body follow.
-Encrypted variants carry a sealed frame as the body (wire body is 28
-bytes longer than the plaintext); the eager/rendezvous decision is made
-on the plaintext length so that the protocol split lines up with the
-sizes a benchmark sweep requests.  (``collectives`` seals its elements
-itself and sends the frames as plain messages, so its split is on the
-frame length.)
+unordered pair of ranks, dialled by the higher rank, which sends its
+rank as a 4-byte hello; each rank closes its listener once the mesh is
+up.  One deadline, the constructor's ``timeout``, bounds every socket
+wait of start-up, and any failure to come up raises ``StartupError``.
+Every wire unit leads with its mode byte, and the reader dispatches on
+the first byte it reads.  A message starts with a 12-byte little-endian
+header ``[u8 mode][3 zero bytes][u32 body_length][u32 tag]``.  Messages
+whose payload classifies below the configured threshold are sent eagerly
+(header and body written back to back); larger ones use a rendezvous
+handshake: the header goes out with mode RTS, the receiver answers with
+the one-byte unit ``MODE_CTS`` once a matching receive is posted, and
+only then does the body follow.  Encrypted variants carry a sealed frame
+as the body (wire body is 28 bytes longer than the plaintext); the
+eager/rendezvous decision is made on the plaintext length so that the
+protocol split lines up with the sizes a benchmark sweep requests.
+(``collectives`` seals its elements itself and sends the frames as plain
+messages, so its split is on the frame length.)
 
 Receives are matched per (source, tag) in arrival order, with two FIFO
 queues of ``RequestHandle``s: posted receives that no message has
@@ -100,6 +103,13 @@ class ConnectionLost(TransportError):
 def _byte_sized(body) -> bytes | bytearray | memoryview:
     """``body`` itself, or a byte-format view of it, so ``len`` counts bytes."""
     return body if isinstance(body, (bytes, bytearray)) else memoryview(body).cast("B")
+
+
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline``; ``TimeoutError`` once it has passed."""
+    if (left := deadline - time.monotonic()) <= 0:
+        raise TimeoutError("start-up deadline passed")
+    return left
 
 
 def read_roster(path: str) -> list[tuple[str, int]]:
@@ -227,8 +237,10 @@ class ProcessGroup:
     """A rank's endpoint in a fully connected TCP process group.
 
     Construction establishes the mesh and returns only after every rank
-    is reachable (an implicit barrier).  ``provider`` enables the
-    encrypted message variants.
+    is reachable (an implicit barrier).  One deadline, ``timeout``
+    seconds away, bounds every dial, accept and hello read; any failure
+    to come up, the barrier's included, raises ``StartupError`` with its
+    cause chained.  ``provider`` enables the encrypted message variants.
     """
 
     def __init__(
@@ -254,7 +266,6 @@ class ProcessGroup:
         self._roster = list(roster)
         self._conns: dict[int, _Conn] = {}
         self._closing = False
-        self._listener: socket.socket | None = None
 
         # matching engine: per (src, tag), one FIFO of posted receives and
         # one of arrivals no receive has taken yet, both of handles
@@ -266,79 +277,73 @@ class ProcessGroup:
             try:
                 self._establish_mesh(timeout)
                 self.barrier()
-            except Exception:
+            except Exception as exc:
                 self.close(synchronize=False)
-                raise
+                if isinstance(exc, StartupError) or not isinstance(exc, (TransportError, OSError)):
+                    raise
+                raise StartupError(f"rank {rank}: the group did not come up: {exc}") from exc
 
     # -- mesh formation -------------------------------------------------
 
     def _establish_mesh(self, timeout: float) -> None:
-        host, port = self._roster[self.rank]
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            listener.bind((host, port))
-        except OSError as exc:
-            listener.close()
-            raise StartupError(f"rank {self.rank} cannot bind {host}:{port}: {exc}") from exc
-        listener.listen(self.size)
-        listener.settimeout(0.2)
-        self._listener = listener
         deadline = time.monotonic() + timeout
-
-        # ranks dial their lower-numbered peers; the listener fields the rest
-        for peer in range(self.rank):
-            sock = self._dial(peer, deadline)
-            self._add_conn(peer, sock)
-            sock.sendall(HELLO.pack(self.rank))
-
-        expected = set(range(self.rank + 1, self.size))
-        while expected:
-            if time.monotonic() > deadline:
-                missing = ", ".join(str(p) for p in sorted(expected))
-                raise StartupError(f"rank {self.rank}: no connection from rank(s) {missing}")
-            try:
-                sock, _ = listener.accept()
-            except socket.timeout:
-                continue
-            raw = b""
-            while len(raw) < HELLO.size:
-                chunk = sock.recv(HELLO.size - len(raw))
-                if not chunk:
-                    raise StartupError(f"rank {self.rank}: peer hung up during hello")
-                raw += chunk
-            (peer,) = HELLO.unpack(raw)
-            if peer not in expected:
-                sock.close()
-                raise StartupError(f"rank {self.rank}: unexpected hello from rank {peer}")
-            expected.discard(peer)
-            self._add_conn(peer, sock)
+        host, port = self._roster[self.rank]
+        try:
+            listener = socket.create_server((host, port), backlog=self.size)
+        except OSError as exc:
+            raise StartupError(f"rank {self.rank} cannot bind {host}:{port}: {exc}") from exc
+        with listener:  # closed as soon as the mesh is up
+            # ranks dial their lower-numbered peers; the listener fields the rest
+            for peer in range(self.rank):
+                self._add_conn(peer, self._dial(peer, deadline))
+                self._conns[peer].sock.sendall(HELLO.pack(self.rank))
+            expected = set(range(self.rank + 1, self.size))
+            while expected:
+                try:
+                    listener.settimeout(_time_left(deadline))
+                    sock, _ = listener.accept()
+                    try:
+                        peer = self._read_hello(sock, deadline)
+                        if peer not in expected:
+                            raise StartupError(f"rank {self.rank}: unexpected hello from rank {peer}")
+                    except BaseException:
+                        sock.close()
+                        raise
+                except TimeoutError:
+                    missing = ", ".join(str(p) for p in sorted(expected))
+                    raise StartupError(f"rank {self.rank}: no connection from rank(s) {missing}") from None
+                expected.discard(peer)
+                self._add_conn(peer, sock)
 
         for conn in self._conns.values():
-            t = threading.Thread(
-                target=self._reader_loop,
-                args=(conn,),
-                name=f"secmsg-reader-{self.rank}-{conn.peer}",
-                daemon=True,
+            conn.reader = threading.Thread(
+                target=self._reader_loop, args=(conn,),
+                name=f"secmsg-reader-{self.rank}-{conn.peer}", daemon=True,
             )
-            conn.reader = t
-            t.start()
+            conn.reader.start()
 
     def _dial(self, peer: int, deadline: float) -> socket.socket:
         host, port = self._roster[peer]
-        while True:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        error: OSError = TimeoutError("no time left to dial")
+        while (left := deadline - time.monotonic()) > 0:
             try:
-                sock.settimeout(max(0.2, min(2.0, deadline - time.monotonic())))
-                sock.connect((host, port))
-                return sock
+                return socket.create_connection((host, port), timeout=left)
             except OSError as exc:
-                sock.close()
-                if time.monotonic() > deadline:
-                    raise StartupError(
-                        f"rank {self.rank} cannot reach rank {peer} at {host}:{port}: {exc}"
-                    ) from exc
+                error = exc
                 time.sleep(0.002)
+        raise StartupError(
+            f"rank {self.rank} cannot reach rank {peer} at {host}:{port}: {error}"
+        ) from error
+
+    def _read_hello(self, sock: socket.socket, deadline: float) -> int:
+        raw = b""
+        while len(raw) < HELLO.size:
+            sock.settimeout(_time_left(deadline))
+            chunk = sock.recv(HELLO.size - len(raw))
+            if not chunk:
+                raise StartupError(f"rank {self.rank}: peer hung up during hello")
+            raw += chunk
+        return HELLO.unpack(raw)[0]
 
     def _add_conn(self, peer: int, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -608,14 +613,10 @@ class ProcessGroup:
         """
         if self._closing:
             return
-        if (
-            synchronize
-            and self.size > 1
-            and all(c.error is None for c in self._conns.values())
-        ):
+        if synchronize and all(c.error is None for c in self._conns.values()):
             try:
                 self.barrier()
-            except (TransportError, TimeoutError):
+            except TransportError:
                 pass
         self._closing = True
         closed = ConnectionLost(f"rank {self.rank}: the group is closed")
@@ -625,9 +626,6 @@ class ProcessGroup:
                 conn.sock.close()
             except OSError:
                 pass
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
         for conn in self._conns.values():
             if conn.reader is not None and conn.reader.is_alive():
                 conn.reader.join(timeout=2.0)

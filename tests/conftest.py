@@ -1,16 +1,20 @@
 import os
 import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
-# child processes (the acceptance tests run `python -m secmsg.cli`) do not
+# child processes (`run_cli_ranks` and the acceptance tests run
+# `python -m secmsg.cli`) do not
 # see pytest's in-process `pythonpath`; hand them this checkout's src
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 from secmsg.aead import create_provider
-from secmsg.transport import ProcessGroup, StartupError
+from secmsg.transport import ProcessGroup, StartupError, write_roster
 
 TEST_KEY = bytes(range(32))
 
@@ -76,3 +80,57 @@ def run_ranks(n, fn, *, threshold=131072, keys=None, with_provider=True, timeout
             raise AssertionError(f"rank {rank} failed: {exc!r}") from exc
         return results
     raise AssertionError(f"group startup kept failing: {last_startup_error!r}")
+
+
+
+def summary_rows(stdout):
+    """The rows of the summary table `bench` prints, split into columns."""
+    lines = stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:2] == ["size_bytes", "k"])
+    return [line.split() for line in lines[start + 1:]]
+
+
+def run_cli_ranks(n, tmp_path, argv, *, timeout=240):
+    """Run ``python -m secmsg.cli *argv(rank) --roster R --rank rank`` as n
+    processes on a fresh roster; returns each rank's ``CompletedProcess``.
+
+    Each rank's stdout and stderr are captured to files, so no full pipe
+    can stall a rank.  A run in which some rank could not bind its port
+    (taken between reservation and bind) is retried on a new roster.  When
+    a rank fails, every rank's stderr is printed, so a failing test shows
+    it; ranks still running after ``timeout`` are killed and fail the test.
+    """
+    roster_path = str(tmp_path / "roster.txt")
+    for attempt in range(1, 4):
+        write_roster(roster_path, free_roster(n))
+        logs = [(tmp_path / f"rank{r}.out", tmp_path / f"rank{r}.err") for r in range(n)]
+        procs = []
+        for rank, (out, err) in enumerate(logs):
+            with open(out, "w") as stdout, open(err, "w") as stderr:
+                procs.append(subprocess.Popen(
+                    [sys.executable, "-m", "secmsg.cli", *argv(rank),
+                     "--roster", roster_path, "--rank", str(rank)],
+                    stdout=stdout, stderr=stderr,
+                ))
+        deadline = time.monotonic() + timeout
+        hung = []
+        for rank, p in enumerate(procs):
+            try:
+                p.wait(max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                p.kill()
+                p.wait()
+                hung.append(rank)
+        runs = [
+            subprocess.CompletedProcess(p.args, p.returncode, out.read_text(), err.read_text())
+            for p, (out, err) in zip(procs, logs)
+        ]
+        if hung or any(r.returncode for r in runs):
+            for rank, r in enumerate(runs):
+                print(f"attempt {attempt}, rank {rank} exited {r.returncode}; stderr:\n{r.stderr}",
+                      file=sys.stderr)
+        if hung:
+            pytest.fail(f"ranks {hung} did not finish within {timeout}s")
+        if not any("cannot bind" in r.stderr for r in runs):
+            return runs
+    return runs

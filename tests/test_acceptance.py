@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import synth
-from conftest import TEST_KEY, free_roster, run_ranks
+from conftest import TEST_KEY, run_cli_ranks, run_ranks, summary_rows
 from secmsg import benchmarks as bm
 from secmsg import collectives as coll
 from secmsg.aead import FRAME_OVERHEAD, AesGcmProvider, Frame, IntegrityError, SecretKey
@@ -32,7 +32,6 @@ from secmsg.models import (
     predict_multipair,
     size_class_for,
 )
-from secmsg.transport import write_roster
 
 
 def _report(capsys, number, text):
@@ -237,7 +236,7 @@ def test_acceptance_6_collective_oracle_equivalence(n, capsys):
     _report(capsys, 6, f"all four encrypted collectives match the in-memory oracle (n={n})")
 
 
-def test_acceptance_7_benchmark_methodology(capsys):
+def test_acceptance_7_benchmark_methodology(tmp_path, capsys):
     # stop-policy branch structure
     constant = run_until_stable(lambda: 50.0, StopPolicy())
     assert constant.run_count == 20
@@ -248,25 +247,25 @@ def test_acceptance_7_benchmark_methodology(capsys):
     assert noisy.run_count > 100
     assert noisy.stop_reason is StopReason.CI_OK
 
-    # encrypted >= plaintext mean latency at 2 MiB, on stable results
+    # encrypted >= plaintext mean latency at 2 MiB, on stable results, with
+    # each rank in its own process (`secmsg bench pingpong`)
     size = 2 * 1024 * 1024
-    rounds = bm.default_pingpong_rounds(size, scale=0.01)
-    assert rounds == 10
-    policy = StopPolicy(hard_budget=400)
+    assert bm.default_pingpong_rounds(size, scale=0.01) == 10
 
-    def fn(g):
-        plain = run_until_stable(
-            lambda: bm.pingpong(g, size, rounds, encrypted=False), policy, group=g
-        )
-        enc = run_until_stable(
-            lambda: bm.pingpong(g, size, rounds, encrypted=True), policy, group=g
-        )
-        return plain, enc
+    def mean_and_stop(*flags):
+        runs = run_cli_ranks(2, tmp_path, lambda rank: [
+            "bench", "pingpong", "--sizes", str(size), "--scale", "0.01", "--budget", "400",
+            *flags,
+        ], timeout=280)
+        assert [r.returncode for r in runs] == [0, 0]
+        [row] = summary_rows(runs[0].stdout)  # size k runs mean stddev MB/s stop
+        return float(row[3]), StopReason(row[6])
 
-    plain, enc = run_ranks(2, fn, timeout=280)[0]
-    assert plain.stop_reason in (StopReason.STDDEV_OK, StopReason.CI_OK)
-    assert enc.stop_reason in (StopReason.STDDEV_OK, StopReason.CI_OK)
-    assert enc.mean >= plain.mean
+    plain_mean, plain_stop = mean_and_stop("--plaintext")
+    enc_mean, enc_stop = mean_and_stop()
+    assert plain_stop in (StopReason.STDDEV_OK, StopReason.CI_OK)
+    assert enc_stop in (StopReason.STDDEV_OK, StopReason.CI_OK)
+    assert enc_mean >= plain_mean
 
     # throughput excludes the 28-byte expansion: wire counters prove the
     # wire moved header + plaintext + 28 per message while the credited
@@ -285,15 +284,13 @@ def test_acceptance_7_benchmark_methodology(capsys):
 
     _report(
         capsys, 7,
-        f"stop rule branches correct; encrypted {enc.mean:.0f} us >= plaintext {plain.mean:.0f} us at 2 MiB; "
+        f"stop rule branches correct; encrypted {enc_mean:.0f} us >= plaintext {plain_mean:.0f} us at 2 MiB; "
         f"wire carried +{FRAME_OVERHEAD} B/message excluded from throughput",
     )
 
 
 def test_acceptance_8_end_to_end_pipeline(tmp_path, capsys):
     env = dict(os.environ)
-    roster_path = str(tmp_path / "roster.txt")
-    write_roster(roster_path, free_roster(2))
     pp_csv = str(tmp_path / "pingpong.csv")
     enc_csv = str(tmp_path / "encdec.csv")
     hockney_json = str(tmp_path / "hockney.json")
@@ -308,22 +305,11 @@ def test_acceptance_8_end_to_end_pipeline(tmp_path, capsys):
         )
 
     # measure: encrypted ping-pong on loopback (both ranks as real processes)
-    procs = [
-        subprocess.Popen(
-            [
-                sys.executable, "-m", "secmsg.cli", "bench", "pingpong",
-                "--roster", roster_path, "--rank", str(rank),
-                "--sizes", "1,256,1024,16384,32768,65536", "--threshold", "8192",
-                "--scale", "0.001", "--min-runs", "4", "--max-runs", "6", "--budget", "8",
-                "--out", pp_csv if rank == 0 else str(tmp_path / "r1.csv"),
-            ],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        )
-        for rank in (0, 1)
-    ]
-    for p in procs:
-        out, err = p.communicate(timeout=240)
-        assert p.returncode == 0, (out, err)
+    runs = run_cli_ranks(2, tmp_path, lambda rank: [
+        "bench", "pingpong", "--sizes", "1,256,1024,16384,32768,65536", "--threshold", "8192",
+        "--scale", "0.001", "--min-runs", "4", "--max-runs", "6", "--budget", "8", "--out", pp_csv,
+    ])
+    assert [r.returncode for r in runs] == [0, 0]
 
     result = cli(
         "bench", "encdec", "--sizes", "1,256,4096,16384",

@@ -2,12 +2,11 @@ import csv
 import json
 import random
 import statistics
-import threading
 
 import pytest
 
 import synth
-from conftest import free_roster
+from conftest import run_cli_ranks, summary_rows
 from secmsg.benchmarks import LatencySample, read_samples_csv, write_samples_csv
 from secmsg.cli import main
 from secmsg.models import (
@@ -20,14 +19,6 @@ from secmsg.models import (
     load_params,
     predict_multipair,
 )
-from secmsg.transport import write_roster
-
-
-def summary_rows(stdout):
-    """The rows of the summary table `bench` prints, split into columns."""
-    lines = stdout.splitlines()
-    start = next(i for i, line in enumerate(lines) if line.split()[:2] == ["size_bytes", "k"])
-    return [line.split() for line in lines[start + 1:]]
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -331,58 +322,29 @@ def test_env_var_overrides_key_flag(tmp_path, monkeypatch):
 
 
 def test_mismatched_keys_exit_with_integrity_code(tmp_path):
-    roster_path = str(tmp_path / "roster.txt")
-    write_roster(roster_path, free_roster(2))
     keys = ["00" * 32, "11" * 32]
-    codes = [None, None]
-
-    def run(rank):
-        codes[rank] = main(
-            [
-                "bench", "pingpong", "--roster", roster_path, "--rank", str(rank),
-                "--key", keys[rank], "--sizes", "1024",
-                "--scale", "0.001", "--min-runs", "4", "--budget", "8",
-            ]
-        )
-
-    threads = [threading.Thread(target=run, args=(r,), daemon=True) for r in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(120)
-    assert not any(t.is_alive() for t in threads)
+    runs = run_cli_ranks(2, tmp_path, lambda rank: [
+        "bench", "pingpong", "--key", keys[rank], "--sizes", "1024",
+        "--scale", "0.001", "--min-runs", "4", "--budget", "8",
+    ], timeout=120)
+    codes = [r.returncode for r in runs]
     assert 3 in codes  # at least one side rejects the peer's frames
     assert all(code in (2, 3) for code in codes)
 
 
-def test_bench_multipair_produces_k_groups(tmp_path, capsys):
-    roster_path = str(tmp_path / "roster.txt")
-    write_roster(roster_path, free_roster(4))
+def test_bench_multipair_produces_k_groups(tmp_path):
     csv_path = str(tmp_path / "mp.csv")
-    codes = [None] * 4
-
-    def run(rank):
-        codes[rank] = main(
-            [
-                "bench", "multipair", "--roster", roster_path, "--rank", str(rank),
-                "--pairs", "1,2", "--sizes", "16384", "--scale", "0.02",
-                "--min-runs", "4", "--max-runs", "5", "--budget", "6",
-                "--out", csv_path if rank == 0 else str(tmp_path / f"r{rank}.csv"),
-            ]
-        )
-
-    threads = [threading.Thread(target=run, args=(r,), daemon=True) for r in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(180)
-    assert codes == [0] * 4
+    runs = run_cli_ranks(4, tmp_path, lambda rank: [
+        "bench", "multipair", "--pairs", "1,2", "--sizes", "16384", "--scale", "0.02",
+        "--min-runs", "4", "--max-runs", "5", "--budget", "6", "--out", csv_path,
+    ], timeout=180)
+    assert [r.returncode for r in runs] == [0] * 4
     samples = read_samples_csv(csv_path)
     assert {s.k_pairs for s in samples} == {1, 2}
     assert all(s.message_size == 16384 for s in samples)
     # one summary line per (size, k); MB/s counts every message of the
     # 64-message window on each of the k pairs
-    rows = summary_rows(capsys.readouterr().out)
+    rows = summary_rows(runs[0].stdout)
     assert [(row[0], row[1]) for row in rows] == [("16384", "1"), ("16384", "2")]
     for row in rows:
         size, k = int(row[0]), int(row[1])
@@ -392,28 +354,12 @@ def test_bench_multipair_produces_k_groups(tmp_path, capsys):
 
 
 def test_bench_collective_records_group_size_as_k(tmp_path):
-    roster_path = str(tmp_path / "roster.txt")
-    write_roster(roster_path, free_roster(2))
     csv_path = str(tmp_path / "coll.csv")
-    codes = [None, None]
-
-    def run(rank):
-        codes[rank] = main(
-            [
-                "bench", "collective", "--op", "allgather",
-                "--roster", roster_path, "--rank", str(rank),
-                "--sizes", "256,4096", "--scale", "0.05",
-                "--min-runs", "4", "--max-runs", "5", "--budget", "6",
-                "--out", csv_path if rank == 0 else str(tmp_path / "r1.csv"),
-            ]
-        )
-
-    threads = [threading.Thread(target=run, args=(r,), daemon=True) for r in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(120)
-    assert codes == [0, 0]
+    runs = run_cli_ranks(2, tmp_path, lambda rank: [
+        "bench", "collective", "--op", "allgather", "--sizes", "256,4096", "--scale", "0.05",
+        "--min-runs", "4", "--max-runs", "5", "--budget", "6", "--out", csv_path,
+    ], timeout=120)
+    assert [r.returncode for r in runs] == [0, 0]
     samples = read_samples_csv(csv_path)
     assert sorted({s.message_size for s in samples}) == [256, 4096]
     assert {s.k_pairs for s in samples} == {2}
@@ -424,29 +370,14 @@ def test_bench_pingpong_groups_satisfy_stop_policy(tmp_path):
     # state the stop rule accepts
     import statistics as stats
 
-    roster_path = str(tmp_path / "roster.txt")
-    write_roster(roster_path, free_roster(2))
     csv_path = str(tmp_path / "pp.csv")
     min_runs, max_runs, budget, cv = 4, 6, 10, 0.05
-    codes = [None, None]
-
-    def run(rank):
-        codes[rank] = main(
-            [
-                "bench", "pingpong", "--roster", roster_path, "--rank", str(rank),
-                "--sizes", "1,1024,2097152", "--scale", "0.002",
-                "--min-runs", str(min_runs), "--max-runs", str(max_runs),
-                "--budget", str(budget), "--cv", str(cv), "--plaintext",
-                "--out", csv_path if rank == 0 else str(tmp_path / "r1.csv"),
-            ]
-        )
-
-    threads = [threading.Thread(target=run, args=(r,), daemon=True) for r in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(240)
-    assert codes == [0, 0]
+    runs = run_cli_ranks(2, tmp_path, lambda rank: [
+        "bench", "pingpong", "--sizes", "1,1024,2097152", "--scale", "0.002",
+        "--min-runs", str(min_runs), "--max-runs", str(max_runs),
+        "--budget", str(budget), "--cv", str(cv), "--plaintext", "--out", csv_path,
+    ])
+    assert [r.returncode for r in runs] == [0, 0]
 
     samples = read_samples_csv(csv_path)
     by_size = {}
@@ -467,32 +398,17 @@ def test_bench_pingpong_groups_satisfy_stop_policy(tmp_path):
             assert n == budget  # budget stop
 
 
-def test_end_to_end_pingpong_over_threads(tmp_path, capsys):
-    roster_path = str(tmp_path / "roster.txt")
-    write_roster(roster_path, free_roster(2))
+def test_end_to_end_pingpong_over_processes(tmp_path, capsys):
     csv_path = str(tmp_path / "pp.csv")
     params_path = str(tmp_path / "fit.json")
     report_path = str(tmp_path / "report.csv")
 
-    codes = [None, None]
-
-    def run(rank):
-        codes[rank] = main(
-            [
-                "bench", "pingpong", "--roster", roster_path, "--rank", str(rank),
-                "--sizes", "1,1024,16384,65536", "--threshold", "8192",
-                "--scale", "0.001", "--min-runs", "4", "--max-runs", "6",
-                "--budget", "8", "--plaintext",
-                "--out", csv_path if rank == 0 else str(tmp_path / "r1.csv"),
-            ]
-        )
-
-    threads = [threading.Thread(target=run, args=(r,), daemon=True) for r in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(180)
-    assert codes == [0, 0]
+    runs = run_cli_ranks(2, tmp_path, lambda rank: [
+        "bench", "pingpong", "--sizes", "1,1024,16384,65536", "--threshold", "8192",
+        "--scale", "0.001", "--min-runs", "4", "--max-runs", "6",
+        "--budget", "8", "--plaintext", "--out", csv_path,
+    ], timeout=180)
+    assert [r.returncode for r in runs] == [0, 0]
 
     # the CSV written by bench is accepted unmodified by fit and validate
     assert main(["fit", "hockney", "--input", csv_path, "--threshold", "8192",

@@ -58,6 +58,43 @@ def test_unreachable_peer_names_missing_rank():
         ProcessGroup(1, roster, timeout=1.5)
 
 
+def test_silent_connection_cannot_stall_startup():
+    # a stray connection that never sends its hello must not hold rank 0
+    # past its deadline, and rank 1 must learn the group never came up
+    roster = free_roster(2)
+    errors = [None, None]
+    finished = [None, None]
+
+    def rank(r):
+        try:
+            ProcessGroup(r, roster, timeout=2).close()
+        except Exception as exc:
+            errors[r] = exc
+        finished[r] = time.monotonic()
+
+    threads = [threading.Thread(target=rank, args=(r,), daemon=True) for r in range(2)]
+    start = time.monotonic()
+    threads[0].start()
+    while True:  # rank 0 may not be listening yet
+        try:
+            silent = socket.create_connection(roster[0], timeout=2)
+            break
+        except ConnectionRefusedError:
+            assert time.monotonic() - start < 5, "rank 0 never listened"
+            time.sleep(0.01)
+    try:
+        threads[1].start()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads), "start-up stalled past its deadline"
+        assert all(isinstance(e, StartupError) for e in errors), errors
+        assert max(finished) - start < 2 + 3
+        silent.settimeout(5)
+        assert silent.recv(1) == b""  # rank 0 closed the stray connection
+    finally:
+        silent.close()
+
+
 def test_roster_file_round_trip(tmp_path):
     path = tmp_path / "roster.txt"
     roster = [("127.0.0.1", 9001), ("10.0.0.2", 9002), ("10.0.0.3", 9003)]
