@@ -2,7 +2,6 @@
 benchmark harness and latency-model fitting for the encrypted paths."""
 
 from .aead import (
-    AeadProvider,
     AesGcmProvider,
     Frame,
     FRAME_OVERHEAD,
@@ -25,7 +24,6 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AeadProvider",
     "AesGcmProvider",
     "Frame",
     "FRAME_OVERHEAD",

@@ -2,10 +2,14 @@
 
 A sealed message travels as ``nonce || ciphertext || tag``: 12 nonce bytes
 up front, the 16-byte authentication tag at the end, 28 bytes of expansion
-total regardless of plaintext length.  Backends plug in through a small
-registry so alternative AEAD implementations can be benchmarked against
-each other; the default backend wraps the ``cryptography`` package's
-AES-GCM.
+total regardless of plaintext length.
+
+A provider is any object with ``seal(bytes) -> Frame`` and
+``open(Frame) -> bytes``; ``open`` raises ``IntegrityError`` when a frame
+fails authentication.  The transport and the collectives need nothing
+more.  ``create_provider`` builds one by backend name from ``BACKENDS``,
+which holds one entry, ``AesGcmProvider`` (the ``cryptography``
+package's AES-GCM), until other ciphers are registered beside it.
 
 The large-message path makes no copy beyond the AES work: ``seal``
 encrypts straight into the one buffer that becomes the wire body,
@@ -24,6 +28,8 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import dataclass
+
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 NONCE_LEN = 12
 TAG_LEN = 16
@@ -67,7 +73,7 @@ class IntegrityError(Exception):
 
 
 class ProviderError(Exception):
-    """The AEAD backend could not be configured or used."""
+    """No AEAD backend is registered under the requested name."""
 
 
 @dataclass(frozen=True)
@@ -141,19 +147,19 @@ class Frame:
         return len(self._buf)
 
 
-class AeadProvider:
-    """Seals and opens frames under one key.
+class AesGcmProvider:
+    """Seals and opens frames under one key with ``cryptography``'s AES-GCM.
 
     Instances are independent and may be used from different threads
     simultaneously; a single instance is not required to support
-    concurrent calls.  Subclasses implement ``_encrypt_into`` /
-    ``_decrypt``.
+    concurrent calls.
     """
 
-    backend = "abstract"
+    backend = "aes-gcm"
 
     def __init__(self, key: SecretKey | bytes):
         self.key = key if isinstance(key, SecretKey) else SecretKey(key)
+        self._aesgcm = AESGCM(self.key.data)
 
     def seal(self, plaintext: bytes) -> Frame:
         """Encrypt ``plaintext`` under a fresh uniformly random nonce, into
@@ -161,7 +167,7 @@ class AeadProvider:
         nonce = os.urandom(NONCE_LEN)
         buf = bytearray(FRAME_OVERHEAD + len(plaintext))
         buf[:NONCE_LEN] = nonce
-        self._encrypt_into(nonce, plaintext, memoryview(buf)[NONCE_LEN:])
+        self._aesgcm.encrypt_into(nonce, plaintext, None, memoryview(buf)[NONCE_LEN:])
         return Frame.from_bytes(buf)
 
     def open(self, frame: Frame) -> bytes:
@@ -171,45 +177,12 @@ class AeadProvider:
         deliberately distinct from transport-level failures.
         """
         try:
-            return self._decrypt(frame.nonce, frame.ciphertext_and_tag)
-        except IntegrityError:
-            raise
+            return self._aesgcm.decrypt(frame.nonce, frame.ciphertext_and_tag, None)
         except Exception as exc:
             raise IntegrityError("frame failed authentication") from exc
 
-    def _encrypt_into(self, nonce: bytes, plaintext: bytes, out: memoryview) -> None:
-        """Write ``ciphertext || tag`` (``len(plaintext) + 16`` bytes) to ``out``."""
-        raise NotImplementedError
 
-    def _decrypt(self, nonce: bytes, ciphertext_and_tag: memoryview) -> bytes:
-        raise NotImplementedError
-
-
-class AesGcmProvider(AeadProvider):
-    """Default backend: AES-GCM from the ``cryptography`` package."""
-
-    backend = "aes-gcm"
-
-    def __init__(self, key: SecretKey | bytes):
-        super().__init__(key)
-        try:
-            from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-        except ImportError as exc:  # pragma: no cover
-            raise ProviderError("cryptography package not available") from exc
-        try:
-            self._aesgcm = AESGCM(self.key.data)
-        except Exception as exc:
-            raise ProviderError(f"backend rejected key: {exc}") from exc
-
-    def _encrypt_into(self, nonce: bytes, plaintext: bytes, out: memoryview) -> None:
-        self._aesgcm.encrypt_into(nonce, plaintext, None, out)
-
-    def _decrypt(self, nonce: bytes, ciphertext_and_tag: memoryview) -> bytes:
-        # open() turns the backend's InvalidTag into IntegrityError
-        return self._aesgcm.decrypt(nonce, ciphertext_and_tag, None)
-
-
-BACKENDS: dict[str, type[AeadProvider]] = {
+BACKENDS: dict[str, type[AesGcmProvider]] = {
     AesGcmProvider.backend: AesGcmProvider,
 }
 
@@ -218,7 +191,7 @@ def available_backends() -> list[str]:
     return sorted(BACKENDS)
 
 
-def create_provider(backend: str, key: SecretKey | bytes) -> AeadProvider:
+def create_provider(backend: str, key: SecretKey | bytes) -> AesGcmProvider:
     try:
         cls = BACKENDS[backend]
     except KeyError:

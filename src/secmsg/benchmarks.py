@@ -24,6 +24,7 @@ import csv
 import enum
 import math
 import os
+import random
 import statistics
 import struct
 import time
@@ -185,14 +186,7 @@ def _warmup_rounds(rounds: int) -> int:
 
 
 def _payload(size: int, seed: int | None = None) -> bytes:
-    if seed is None:
-        return os.urandom(size)
-    out = bytearray()
-    x = seed & 0xFFFFFFFFFFFFFFFF
-    while len(out) < size:
-        x = (x * 6364136223846793005 + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
-        out += x.to_bytes(8, "little")
-    return bytes(out[:size])
+    return os.urandom(size) if seed is None else random.Random(seed).randbytes(size)
 
 
 def pingpong(

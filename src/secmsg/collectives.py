@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 
-from .aead import AeadProvider, Frame, FRAME_OVERHEAD, IntegrityError
+from .aead import AesGcmProvider, Frame, FRAME_OVERHEAD, IntegrityError
 from .transport import COLLECTIVE_TAG, MAX_BODY, ProcessGroup, TransportError
 
 
@@ -146,11 +146,11 @@ def alltoallv(g: ProcessGroup, sendbuf: list[bytes], recv_lengths: list[int]) ->
     return alltoall(g, sendbuf)
 
 
-def _seal_all(provider: AeadProvider, elements: list[bytes]) -> list[bytes]:
+def _seal_all(provider: AesGcmProvider, elements: list[bytes]) -> list[bytes]:
     return [provider.seal(element).to_bytes() for element in elements]
 
 
-def _open_from(provider: AeadProvider, blob: bytes, source_rank: int) -> bytes:
+def _open_from(provider: AesGcmProvider, blob: bytes, source_rank: int) -> bytes:
     try:
         return provider.open(Frame.from_bytes(blob))
     except (IntegrityError, ValueError) as exc:
@@ -158,7 +158,7 @@ def _open_from(provider: AeadProvider, blob: bytes, source_rank: int) -> bytes:
 
 
 def encrypted_alltoall(
-    g: ProcessGroup, provider: AeadProvider, sendbuf: list[bytes]
+    g: ProcessGroup, provider: AesGcmProvider, sendbuf: list[bytes]
 ) -> list[bytes]:
     """All-to-all of sealed elements; each element gets a fresh nonce."""
     if len(sendbuf) != g.size:
@@ -172,7 +172,7 @@ def encrypted_alltoall(
 
 
 def encrypted_allgather(
-    g: ProcessGroup, provider: AeadProvider, element: bytes
+    g: ProcessGroup, provider: AesGcmProvider, element: bytes
 ) -> list[bytes]:
     """Allgather where each rank seals its own element exactly once."""
     sealed = provider.seal(element).to_bytes()
@@ -181,7 +181,7 @@ def encrypted_allgather(
 
 
 def encrypted_bcast(
-    g: ProcessGroup, provider: AeadProvider, root: int, body: bytes | None = None
+    g: ProcessGroup, provider: AesGcmProvider, root: int, body: bytes | None = None
 ) -> bytes:
     """Broadcast with one seal at the root and one open per rank."""
     sealed = None
@@ -195,7 +195,7 @@ def encrypted_bcast(
 
 def encrypted_alltoallv(
     g: ProcessGroup,
-    provider: AeadProvider,
+    provider: AesGcmProvider,
     sendbuf: list[bytes],
     recv_lengths: list[int],
 ) -> list[bytes]:

@@ -3,8 +3,9 @@
 A process group is fully connected: exactly one TCP connection per
 unordered pair of ranks, dialled by the higher rank, which sends its
 rank as a 4-byte hello; each rank closes its listener once the mesh is
-up.  One deadline, the constructor's ``timeout``, bounds every socket
-wait of start-up, and any failure to come up raises ``StartupError``.
+up.  One deadline, the constructor's ``timeout``, bounds every wait of
+start-up, the implicit barrier's included, and any failure to come up
+raises ``StartupError``.
 Every wire unit leads with its mode byte, and the reader dispatches on
 the first byte it reads.  A message starts with a 12-byte little-endian
 header ``[u8 mode][3 zero bytes][u32 body_length][u32 tag]``.  Messages
@@ -70,7 +71,7 @@ import threading
 import time
 from collections import deque
 
-from .aead import AeadProvider, Frame, IntegrityError
+from .aead import AesGcmProvider, Frame, IntegrityError
 
 HEADER = struct.Struct("<B3xII")  # mode, body_length, tag; 12 bytes
 HELLO = struct.Struct("<I")
@@ -149,7 +150,7 @@ class RequestHandle:
     ``data`` expose it; concurrent ``wait`` calls open it once.
     """
 
-    def __init__(self, provider: AeadProvider | None = None):
+    def __init__(self, provider: AesGcmProvider | None = None):
         self._event = threading.Event()
         self._error: Exception | None = None
         self._body: bytes | None = None
@@ -238,9 +239,9 @@ class ProcessGroup:
 
     Construction establishes the mesh and returns only after every rank
     is reachable (an implicit barrier).  One deadline, ``timeout``
-    seconds away, bounds every dial, accept and hello read; any failure
-    to come up, the barrier's included, raises ``StartupError`` with its
-    cause chained.  ``provider`` enables the encrypted message variants.
+    seconds away, bounds every dial, accept, hello read and barrier wait;
+    any failure to come up raises ``StartupError`` with its cause
+    chained.  ``provider`` enables the encrypted message variants.
     """
 
     def __init__(
@@ -248,7 +249,7 @@ class ProcessGroup:
         rank: int,
         roster: list[tuple[str, int]],
         *,
-        provider: AeadProvider | None = None,
+        provider: AesGcmProvider | None = None,
         threshold: int = DEFAULT_THRESHOLD,
         timeout: float = 30.0,
     ):
@@ -274,19 +275,21 @@ class ProcessGroup:
         self._inbound: dict[tuple[int, int], deque[RequestHandle]] = {}
 
         if n > 1:
+            deadline = time.monotonic() + timeout
             try:
-                self._establish_mesh(timeout)
-                self.barrier()
+                self._establish_mesh(deadline)
+                self._barrier(deadline)
             except Exception as exc:
                 self.close(synchronize=False)
                 if isinstance(exc, StartupError) or not isinstance(exc, (TransportError, OSError)):
                     raise
+                if isinstance(exc, TimeoutError):  # only the barrier's waits leave one uncaught
+                    raise StartupError(f"rank {rank}: the start-up barrier missed the deadline") from exc
                 raise StartupError(f"rank {rank}: the group did not come up: {exc}") from exc
 
     # -- mesh formation -------------------------------------------------
 
-    def _establish_mesh(self, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
+    def _establish_mesh(self, deadline: float) -> None:
         host, port = self._roster[self.rank]
         try:
             listener = socket.create_server((host, port), backlog=self.size)
@@ -301,9 +304,9 @@ class ProcessGroup:
             while expected:
                 try:
                     listener.settimeout(_time_left(deadline))
-                    sock, _ = listener.accept()
+                    sock, addr = listener.accept()
                     try:
-                        peer = self._read_hello(sock, deadline)
+                        peer = self._read_hello(sock, addr, deadline)
                         if peer not in expected:
                             raise StartupError(f"rank {self.rank}: unexpected hello from rank {peer}")
                     except BaseException:
@@ -335,11 +338,16 @@ class ProcessGroup:
             f"rank {self.rank} cannot reach rank {peer} at {host}:{port}: {error}"
         ) from error
 
-    def _read_hello(self, sock: socket.socket, deadline: float) -> int:
+    def _read_hello(self, sock: socket.socket, addr, deadline: float) -> int:
         raw = b""
         while len(raw) < HELLO.size:
-            sock.settimeout(_time_left(deadline))
-            chunk = sock.recv(HELLO.size - len(raw))
+            try:
+                sock.settimeout(_time_left(deadline))
+                chunk = sock.recv(HELLO.size - len(raw))
+            except TimeoutError:
+                raise StartupError(
+                    f"rank {self.rank}: no hello from {addr[0]}:{addr[1]} before the deadline"
+                ) from None
             if not chunk:
                 raise StartupError(f"rank {self.rank}: peer hung up during hello")
             raw += chunk
@@ -522,7 +530,7 @@ class ProcessGroup:
             self._on_connection_dead(conn, exc, None)
         return handle
 
-    def _post_recv(self, src: int, tag: int, provider: AeadProvider | None) -> RequestHandle:
+    def _post_recv(self, src: int, tag: int, provider: AesGcmProvider | None) -> RequestHandle:
         conn = self._conn_to(src)
         if self._closing:
             raise conn.lost()
@@ -570,7 +578,7 @@ class ProcessGroup:
 
     # -- encrypted variants ------------------------------------------------
 
-    def _require_provider(self) -> AeadProvider:
+    def _require_provider(self) -> AesGcmProvider:
         if self.provider is None:
             raise ValueError("group has no AEAD provider configured")
         return self.provider
@@ -594,13 +602,17 @@ class ProcessGroup:
 
     def barrier(self) -> None:
         """Dissemination barrier over the mesh."""
+        self._barrier(None)
+
+    def _barrier(self, deadline: float | None) -> None:
+        # with a deadline (start-up), each wait raises TimeoutError at it
         step = 1
         while step < self.size:
             dest = (self.rank + step) % self.size
             src = (self.rank - step) % self.size
-            h = self._post_send(dest, BARRIER_TAG, b"", classify_len=0)
-            self._post_recv(src, BARRIER_TAG, provider=None).wait()
-            h.wait()
+            sent = self._post_send(dest, BARRIER_TAG, b"", classify_len=0)
+            for h in (self._post_recv(src, BARRIER_TAG, provider=None), sent):
+                h.wait(None if deadline is None else _time_left(deadline))
             step <<= 1
 
     def close(self, *, synchronize: bool = True) -> None:

@@ -27,6 +27,15 @@ from secmsg.benchmarks import (
 )
 
 
+@pytest.mark.parametrize("size", [0, 13, 1024])
+def test_seeded_payload_is_reproducible_per_seed(size):
+    assert len(bm._payload(size, 1)) == size
+    assert bm._payload(size, 1) == bm._payload(size, 1)
+    assert len(bm._payload(size)) == size
+    if size:
+        assert bm._payload(size, 1) != bm._payload(size, 2)
+
+
 def test_stop_policy_validation():
     with pytest.raises(ValueError):
         StopPolicy(min_runs=1)

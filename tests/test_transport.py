@@ -10,6 +10,7 @@ from conftest import TEST_KEY, free_roster, run_ranks
 from secmsg.aead import FRAME_OVERHEAD, IntegrityError
 from secmsg.transport import (
     HEADER,
+    HELLO,
     MODE_RTS,
     ConnectionLost,
     ProcessGroup,
@@ -58,6 +59,15 @@ def test_unreachable_peer_names_missing_rank():
         ProcessGroup(1, roster, timeout=1.5)
 
 
+def _connect_when_listening(addr, start) -> socket.socket:
+    while True:
+        try:
+            return socket.create_connection(addr, timeout=2)
+        except ConnectionRefusedError:
+            assert time.monotonic() - start < 5, "rank 0 never listened"
+            time.sleep(0.01)
+
+
 def test_silent_connection_cannot_stall_startup():
     # a stray connection that never sends its hello must not hold rank 0
     # past its deadline, and rank 1 must learn the group never came up
@@ -75,24 +85,52 @@ def test_silent_connection_cannot_stall_startup():
     threads = [threading.Thread(target=rank, args=(r,), daemon=True) for r in range(2)]
     start = time.monotonic()
     threads[0].start()
-    while True:  # rank 0 may not be listening yet
-        try:
-            silent = socket.create_connection(roster[0], timeout=2)
-            break
-        except ConnectionRefusedError:
-            assert time.monotonic() - start < 5, "rank 0 never listened"
-            time.sleep(0.01)
+    silent = _connect_when_listening(roster[0], start)
     try:
         threads[1].start()
         for t in threads:
             t.join(10)
         assert not any(t.is_alive() for t in threads), "start-up stalled past its deadline"
         assert all(isinstance(e, StartupError) for e in errors), errors
+        host, port = silent.getsockname()
+        assert f"no hello from {host}:{port}" in str(errors[0])  # the silent party, not rank 1
         assert max(finished) - start < 2 + 3
         silent.settimeout(5)
         assert silent.recv(1) == b""  # rank 0 closed the stray connection
     finally:
         silent.close()
+
+
+def test_peer_silent_after_hello_cannot_stall_the_startup_barrier():
+    # a client that sends a valid hello for rank 1 and then nothing leaves
+    # rank 0 in its start-up barrier; the deadline must still end it
+    roster = free_roster(2)
+    outcome = []
+
+    def rank0():
+        try:
+            ProcessGroup(0, roster, timeout=2).close()
+        except Exception as exc:
+            outcome.append(exc)
+        outcome.append(time.monotonic())
+
+    thread = threading.Thread(target=rank0, daemon=True)
+    start = time.monotonic()
+    thread.start()
+    fake = _connect_when_listening(roster[0], start)
+    try:
+        fake.sendall(HELLO.pack(1))
+        thread.join(2 + 3)
+        assert not thread.is_alive(), "the start-up barrier outlived its deadline"
+        error, finished = outcome
+        assert isinstance(error, StartupError), error
+        assert "start-up barrier missed the deadline" in str(error)
+        assert finished - start < 2 + 3
+        fake.settimeout(5)
+        while fake.recv(4096):  # rank 0's barrier message, then EOF
+            pass
+    finally:
+        fake.close()
 
 
 def test_roster_file_round_trip(tmp_path):
