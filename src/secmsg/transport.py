@@ -144,49 +144,75 @@ class RequestHandle:
     """Completion handle for a non-blocking send or receive.
 
     A receive handle carries a body once complete; a send handle carries
-    none.  ``wait`` is idempotent; waiting on a completed handle returns
-    immediately.  For encrypted receives the first ``wait`` opens the
-    frame and replaces the body with the plaintext, and only then does
-    ``data`` expose it; concurrent ``wait`` calls open it once.
+    none.  A handle settles once: the first completion or failure wins,
+    and a later one is ignored, so a message that arrived whole is never
+    hidden behind a later error.  ``wait`` is idempotent; waiting on a
+    settled handle returns immediately, and, as with ``Event.wait``, a
+    ``timeout`` of zero or less polls: a pending handle raises
+    ``TimeoutError`` at once.  For encrypted receives the first ``wait``
+    opens the frame and replaces the body with the plaintext, and only
+    then does ``data`` expose it; concurrent ``wait`` calls open it once.
     """
 
+    # The gate is a bare lock (``threading.Lock``), allocated held and
+    # released once, when the handle settles.  A waiter passes through it
+    # (acquire, then release), so any number of waiters return, and holds
+    # it while it opens an encrypted frame.
+    __slots__ = ("_gate", "_done", "_error", "_body", "_provider")
+
     def __init__(self, provider: AesGcmProvider | None = None):
-        self._event = threading.Event()
+        self._gate = threading.Lock()
+        self._gate.acquire()
+        self._done = False
         self._error: Exception | None = None
         self._body: bytes | None = None
         self._provider = provider  # set while the body is a sealed frame
-        self._open_lock = threading.Lock()
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
-    def _complete(self, body: bytes | None = None) -> None:
+    def _settle(self, body: bytes | None = None, error: Exception | None = None) -> None:
+        """Complete the handle with ``body``, or fail it with ``error``.
+
+        A send is settled by whoever takes it off its connection's send
+        queue (under the connection's lock), a posted receive by whoever
+        takes it off ``_posted`` (under ``_match_lock``), and an arrival
+        by the reader that reads it.  So no two threads settle one handle
+        at once, and this check makes any later settle a no-op."""
+        if self._done:
+            return
         self._body = body
-        self._event.set()
-
-    def _fail(self, error: Exception) -> None:
         self._error = error
-        self._event.set()
+        self._done = True
+        self._gate.release()
 
     def wait(self, timeout: float | None = None) -> None:
-        if not self._event.wait(timeout):
-            raise TimeoutError(f"request not complete after {timeout}s")
-        if self._provider is not None and self._error is None:
-            with self._open_lock:
-                if self._provider is not None and self._error is None:
-                    try:
-                        self._body = self._provider.open(Frame.from_bytes(self._body))
-                    except (IntegrityError, ValueError) as exc:
-                        err = exc if isinstance(exc, IntegrityError) else IntegrityError(str(exc))
-                        self._error = err
+        if not self._done or self._provider is not None:
+            gate = self._gate
+            if timeout is None:
+                gate.acquire()
+            elif not (gate.acquire(True, timeout) if timeout > 0 else gate.acquire(False)):
+                if not self._done:
+                    raise TimeoutError(f"request not complete after {timeout}s")
+                gate.acquire()  # settled; held only until the settler or an opener lets go
+            try:
+                if self._provider is not None:  # the first waiter through opens it
+                    if self._error is None:
+                        try:
+                            self._body = self._provider.open(Frame.from_bytes(self._body))
+                        except (IntegrityError, ValueError) as exc:
+                            err = exc if isinstance(exc, IntegrityError) else IntegrityError(str(exc))
+                            self._error = err
                     self._provider = None
+            finally:
+                gate.release()
         if self._error is not None:
             raise self._error
 
     @property
     def data(self) -> bytes:
-        if not self.done:
+        if not self._done:
             raise TransportError("request not complete; call wait() first")
         if self._error is not None:
             raise self._error
@@ -390,7 +416,7 @@ class ProcessGroup:
                     body = conn.read_exact(rfile, length)
                     handle, posted = self._match_arrival(conn.peer, tag, body)
                     if posted:
-                        handle._complete(body)
+                        handle._settle(body)
                 elif mode == MODE_RTS:
                     if conn.awaiting_cts:
                         # the peer's CTS for our transfer will arrive where
@@ -407,7 +433,7 @@ class ProcessGroup:
                     body = conn.read_exact(rfile, length)
                     if not posted and self._still_queued(conn.peer, tag, rdv):
                         raise ConnectionLost(f"peer {conn.peer} sent a body before CTS")
-                    rdv._complete(body)
+                    rdv._settle(body)
                     rdv = None
                 else:
                     raise ConnectionLost(f"peer {conn.peer} sent unknown mode {mode}")
@@ -424,7 +450,7 @@ class ProcessGroup:
             conn.write(body)
             conn.out_queue.popleft()
             conn.awaiting_cts = False
-            handle._complete()
+            handle._settle()
             self._drain_locked(conn)
 
     def _drain_locked(self, conn: _Conn) -> None:
@@ -436,7 +462,7 @@ class ProcessGroup:
             if mode == MODE_EAGER:
                 conn.write(header + body)
                 conn.out_queue.popleft()
-                handle._complete()
+                handle._settle()
             else:
                 # set before the header leaves, so the reader cannot see
                 # the peer's answering RTS without seeing this flag
@@ -457,7 +483,7 @@ class ProcessGroup:
             if not posted:
                 handle = RequestHandle()
                 if body is not None:
-                    handle._complete(body)
+                    handle._settle(body)
                 self._inbound.setdefault(key, deque()).append(handle)
                 return handle, False
             handle = posted.popleft()
@@ -494,15 +520,15 @@ class ProcessGroup:
         with conn.lock:
             conn.awaiting_cts = False
             while conn.out_queue:
-                conn.out_queue.popleft()[1]._fail(error)
+                conn.out_queue.popleft()[1]._settle(error=error)
         if rdv is not None:
-            rdv._fail(error)
+            rdv._settle(error=error)
         with self._match_lock:
             for (src, _tag), handles in list(self._posted.items()):
                 if src != conn.peer:
                     continue
                 for h in handles:
-                    h._fail(error)
+                    h._settle(error=error)
                 del self._posted[(src, _tag)]
 
     # -- point-to-point API ----------------------------------------------
@@ -553,7 +579,10 @@ class ProcessGroup:
             try:
                 self._send_cts(conn)
             except OSError as exc:
-                self._on_connection_dead(conn, exc, handle)
+                # the reader, blocked on this RTS's body, is the one that
+                # settles the handle: it fails it once the socket is shut
+                # down, or has already completed it if the body came whole
+                self._on_connection_dead(conn, exc, None)
         return handle
 
     def isend(self, dest: int, tag: int, body: bytes) -> RequestHandle:

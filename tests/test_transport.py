@@ -1,6 +1,7 @@
 import array
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -14,6 +15,7 @@ from secmsg.transport import (
     MODE_RTS,
     ConnectionLost,
     ProcessGroup,
+    RequestHandle,
     StartupError,
     TransportError,
     read_roster,
@@ -548,10 +550,55 @@ def test_wait_on_completed_handle_returns_immediately():
             h.wait()
             start = time.perf_counter()
             h.wait()
+            h.wait(0)
             assert time.perf_counter() - start < 0.05
             return h.data
 
     assert run_ranks(2, fn, with_provider=False)[1] == b"x"
+
+
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_wait_with_timeout_at_or_below_zero_polls_a_pending_handle(encrypted):
+    # as with Event.wait: a pending handle raises TimeoutError at once,
+    # and a wait that timed out leaves the handle to complete later
+    body = os.urandom(1024)
+
+    def fn(g):
+        if g.rank == 0:
+            g.recv(1, SYNC)
+            (g.encrypted_send if encrypted else g.send)(1, DATA, body)
+            return None
+        h = (g.encrypted_irecv if encrypted else g.irecv)(0, DATA)
+        for timeout in (0, -1):
+            start = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                h.wait(timeout)
+            assert time.perf_counter() - start < 1.0
+        with pytest.raises(TimeoutError):
+            h.wait(0.05)
+        g.send(0, SYNC, b"")
+        h.wait()
+        h.wait(0)
+        return h.data
+
+    assert run_ranks(2, fn, with_provider=encrypted, timeout=30)[1] == body
+
+
+def test_first_settle_of_a_handle_wins():
+    delivered = RequestHandle()
+    delivered._settle(b"arrived whole")
+    delivered._settle(error=ConnectionLost("late failure"))
+    delivered.wait(0)
+    assert delivered.data == b"arrived whole"
+
+    first = ConnectionLost("first cause")
+    failed = RequestHandle()
+    failed._settle(error=first)
+    failed._settle(error=ConnectionLost("second cause"))
+    failed._settle(b"too late")
+    with pytest.raises(ConnectionLost) as info:
+        failed.wait(0)
+    assert info.value is first
 
 
 def test_self_send_and_bad_rank_rejected():
@@ -692,6 +739,89 @@ def test_concurrent_waits_open_an_encrypted_receive_once():
     opens, got = run_ranks(2, fn)[1]
     assert opens == 1
     assert got == [body] * 4
+
+
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_every_waiter_on_a_pending_receive_returns(encrypted):
+    body = os.urandom(4096)
+
+    def fn(g):
+        if g.rank == 0:
+            g.recv(1, SYNC)
+            (g.encrypted_send if encrypted else g.send)(1, DATA, body)
+            return None
+        opens = []
+        if encrypted:
+            open_frame = g.provider.open
+
+            def counting_open(frame):
+                opens.append(frame)
+                return open_frame(frame)
+
+            g.provider.open = counting_open
+        h = (g.encrypted_irecv if encrypted else g.irecv)(0, DATA)
+        ready = threading.Barrier(5)
+        got = []
+
+        def waiter():
+            ready.wait(10)
+            h.wait(timeout=10)
+            got.append(h.data)
+
+        waiters = [threading.Thread(target=waiter) for _ in range(4)]
+        for t in waiters:
+            t.start()
+        ready.wait(10)
+        time.sleep(0.05)  # let the waiters block on the pending handle
+        assert not h.done
+        g.send(0, SYNC, b"")
+        for t in waiters:
+            t.join(20)
+        assert not any(t.is_alive() for t in waiters)
+        return len(opens), got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out races
+    try:
+        opens, got = run_ranks(2, fn, with_provider=encrypted, timeout=30)[1]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [body] * 4
+    assert opens == (1 if encrypted else 0)
+
+
+def test_messages_build_no_condition(monkeypatch):
+    # a guard that times nothing: a per-message threading.Event (which
+    # builds a pure-Python Condition) would show up here as a count
+    built = []
+
+    class CountingCondition(threading.Condition):
+        def __init__(self, *args, **kwargs):
+            built.append(threading.current_thread().name)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Condition", CountingCondition)
+    body = os.urandom(1024)
+
+    def exchange(g, rounds):
+        peer = 1 - g.rank
+        for send, recv in ((g.send, g.recv), (g.encrypted_send, g.encrypted_recv)):
+            for _ in range(rounds):
+                if g.rank == 0:
+                    send(peer, DATA, body)
+                    assert recv(peer, DATA) == body
+                else:
+                    send(peer, DATA, recv(peer, DATA))
+
+    def fn(g):
+        exchange(g, 10)  # warm-up
+        g.barrier()
+        before = len(built)
+        exchange(g, 100)  # 200 plaintext and 200 encrypted messages
+        g.barrier()
+        return len(built) - before
+
+    assert run_ranks(2, fn, timeout=60) == [0, 0]
 
 
 def test_wrong_key_surfaces_integrity_error_from_wait():
