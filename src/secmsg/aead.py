@@ -7,9 +7,11 @@ total regardless of plaintext length.
 A provider is any object with ``seal(bytes) -> Frame`` and
 ``open(Frame) -> bytes``; ``open`` raises ``IntegrityError`` when a frame
 fails authentication.  The transport and the collectives need nothing
-more.  ``create_provider`` builds one by backend name from ``BACKENDS``,
-which holds one entry, ``AesGcmProvider`` (the ``cryptography``
-package's AES-GCM), until other ciphers are registered beside it.
+more: neither derives a plaintext length from a frame, so a provider
+whose frames expand by other than 28 bytes works with both.
+``create_provider`` builds one by backend name from ``BACKENDS``, which
+holds one entry, ``AesGcmProvider`` (the ``cryptography`` package's
+AES-GCM), until other ciphers are registered beside it.
 
 The large-message path makes no copy beyond the AES work: ``seal``
 encrypts straight into the one buffer that becomes the wire body,
@@ -126,10 +128,6 @@ class Frame:
     def ciphertext_and_tag(self) -> memoryview:
         return memoryview(self._buf)[NONCE_LEN:]
 
-    @property
-    def plaintext_len(self) -> int:
-        return len(self._buf) - FRAME_OVERHEAD
-
     def to_bytes(self) -> bytes | bytearray:
         return self._buf
 
@@ -142,9 +140,6 @@ class Frame:
         frame = cls()
         frame._buf = raw
         return frame
-
-    def __len__(self) -> int:
-        return len(self._buf)
 
 
 class AesGcmProvider:

@@ -7,12 +7,18 @@ rank-ordered (the lower rank of each pair sends first), which keeps
 rendezvous handshakes strictly sequential per connection: the transport
 reads a rendezvous body straight after its RTS header, so a connection
 must not carry rendezvous transfers in both directions at once (if it
-does, both ranks fail with ``ConnectionLost``).  ``allgather``
-runs ``alltoall`` and then checks the contributed lengths; ``alltoallv``
-allgathers every rank's length vectors, checks the whole geometry and
-then runs ``alltoall``.  Both check only after an exchange has completed
-on every rank, so every rank sees the same lengths and reaches the same
-verdict.
+does, both ranks fail with ``ConnectionLost``).
+
+Lengths are checked on what the caller passed, never on sealed frames.
+``alltoallv`` and ``encrypted_alltoallv`` allgather every rank's length
+vectors and check the whole geometry before anything is sealed or any
+element moves; ``allgather`` and ``encrypted_allgather`` check the
+contributed lengths after the exchange, the encrypted one after opening.
+Each check runs only once an exchange has completed on every rank, so
+every rank sees the same lengths and reaches the same verdict, and a
+``ProtocolError`` quotes the caller's plaintext lengths.  The
+collectives therefore need nothing of a provider but ``seal`` and
+``open``, whatever a frame's expansion.
 
 Self-addressed elements bypass the wire but are still sealed and opened,
 so every rank performs exactly ``n`` seal calls and ``n`` open calls in
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import struct
 
-from .aead import AesGcmProvider, Frame, FRAME_OVERHEAD, IntegrityError
+from .aead import AesGcmProvider, Frame, IntegrityError
 from .transport import COLLECTIVE_TAG, MAX_BODY, ProcessGroup, TransportError
 
 
@@ -68,6 +74,13 @@ def alltoall(g: ProcessGroup, sendbuf: list[bytes]) -> list[bytes]:
     return recvbuf
 
 
+def _check_gathered(gathered: list[bytes], length: int) -> list[bytes]:
+    for peer, received in enumerate(gathered):
+        if len(received) != length:
+            raise ProtocolError(f"rank {peer} contributed {len(received)} bytes, expected {length}")
+    return gathered
+
+
 def allgather(g: ProcessGroup, element: bytes) -> list[bytes]:
     """Every rank ends up with [rank 0's element, ..., rank n-1's element].
 
@@ -75,13 +88,7 @@ def allgather(g: ProcessGroup, element: bytes) -> list[bytes]:
     mismatch raises ProtocolError on every rank instead of leaving a peer
     blocked on an exchange that will never come.
     """
-    result = alltoall(g, [element] * g.size)
-    for peer, received in enumerate(result):
-        if len(received) != len(element):
-            raise ProtocolError(
-                f"rank {peer} contributed {len(received)} bytes, expected {len(element)}"
-            )
-    return result
+    return _check_gathered(alltoall(g, [element] * g.size), len(element))
 
 
 def bcast(g: ProcessGroup, root: int, body: bytes | None = None) -> bytes:
@@ -116,23 +123,14 @@ def bcast(g: ProcessGroup, root: int, body: bytes | None = None) -> bytes:
     return data
 
 
-def _check_arguments(n: int, sendbuf: list[bytes], recv_lengths: list[int]) -> None:
+def _check_geometry(g: ProcessGroup, sendbuf: list[bytes], recv_lengths: list[int]) -> None:
+    """Check the arguments, then allgather every rank's send and receive
+    length vectors and check the whole n x n geometry."""
+    n = g.size
     if len(sendbuf) != n or len(recv_lengths) != n:
         raise ValueError(f"sendbuf and recv_lengths must each have {n} elements")
     if not all(0 <= length <= MAX_BODY for length in recv_lengths):
         raise ValueError(f"recv_lengths must be in [0, {MAX_BODY}]")
-
-
-def alltoallv(g: ProcessGroup, sendbuf: list[bytes], recv_lengths: list[int]) -> list[bytes]:
-    """Variable-length all-to-all.
-
-    ``recv_lengths[i]`` is the number of bytes this rank expects from
-    rank i.  Every rank first gathers every rank's send and receive
-    length vectors and checks the whole n x n geometry, so a mismatch
-    anywhere raises ProtocolError on every rank before any data moves.
-    """
-    n = g.size
-    _check_arguments(n, sendbuf, recv_lengths)
     lengths = struct.Struct(f"<{2 * n}I")
     mine = lengths.pack(*(len(element) for element in sendbuf), *recv_lengths)
     rows = [lengths.unpack(row) for row in allgather(g, mine)]
@@ -143,11 +141,18 @@ def alltoallv(g: ProcessGroup, sendbuf: list[bytes], recv_lengths: list[int]) ->
                     f"rank {src} will send {rows[src][dst]} bytes to rank {dst}, "
                     f"which expects {rows[dst][n + src]}"
                 )
+
+
+def alltoallv(g: ProcessGroup, sendbuf: list[bytes], recv_lengths: list[int]) -> list[bytes]:
+    """Variable-length all-to-all.
+
+    ``recv_lengths[i]`` is the number of bytes this rank expects from
+    rank i.  Every rank first gathers every rank's send and receive
+    length vectors and checks the whole n x n geometry, so a mismatch
+    anywhere raises ProtocolError on every rank before any data moves.
+    """
+    _check_geometry(g, sendbuf, recv_lengths)
     return alltoall(g, sendbuf)
-
-
-def _seal_all(provider: AesGcmProvider, elements: list[bytes]) -> list[bytes]:
-    return [provider.seal(element).to_bytes() for element in elements]
 
 
 def _open_from(provider: AesGcmProvider, blob: bytes, source_rank: int) -> bytes:
@@ -155,6 +160,13 @@ def _open_from(provider: AesGcmProvider, blob: bytes, source_rank: int) -> bytes
         return provider.open(Frame.from_bytes(blob))
     except (IntegrityError, ValueError) as exc:
         raise CollectiveIntegrityError(source_rank) from exc
+
+
+def _sealed_alltoall(
+    g: ProcessGroup, provider: AesGcmProvider, sendbuf: list[bytes]
+) -> list[bytes]:
+    sealed = [provider.seal(element).to_bytes() for element in sendbuf]
+    return [_open_from(provider, blob, src) for src, blob in enumerate(alltoall(g, sealed))]
 
 
 def encrypted_alltoall(
@@ -166,18 +178,18 @@ def encrypted_alltoall(
     lengths = {len(element) for element in sendbuf}
     if len(lengths) > 1:
         raise ValueError("alltoall elements must all have the same length")
-    enc_sendbuf = _seal_all(provider, sendbuf)
-    enc_recvbuf = alltoall(g, enc_sendbuf)
-    return [_open_from(provider, blob, src) for src, blob in enumerate(enc_recvbuf)]
+    return _sealed_alltoall(g, provider, sendbuf)
 
 
 def encrypted_allgather(
     g: ProcessGroup, provider: AesGcmProvider, element: bytes
 ) -> list[bytes]:
-    """Allgather where each rank seals its own element exactly once."""
+    """Allgather where each rank seals its own element exactly once; the
+    contributed lengths are checked on the opened plaintexts."""
     sealed = provider.seal(element).to_bytes()
-    enc_all = allgather(g, sealed)
-    return [_open_from(provider, blob, src) for src, blob in enumerate(enc_all)]
+    enc_all = alltoall(g, [sealed] * g.size)
+    opened = [_open_from(provider, blob, src) for src, blob in enumerate(enc_all)]
+    return _check_gathered(opened, len(element))
 
 
 def encrypted_bcast(
@@ -201,12 +213,9 @@ def encrypted_alltoallv(
 ) -> list[bytes]:
     """Variable-length encrypted all-to-all.
 
-    Encrypted elements are each 28 bytes longer than their plaintext, so
-    the wire-level length vector is recomputed with the frame expansion
-    added per element.
+    The geometry is checked on the plaintext lengths, as in ``alltoallv``,
+    before anything is sealed; the sealed elements then go through one
+    ``alltoall``.
     """
-    _check_arguments(g.size, sendbuf, recv_lengths)
-    enc_sendbuf = _seal_all(provider, sendbuf)
-    enc_recv_lengths = [length + FRAME_OVERHEAD for length in recv_lengths]
-    enc_recvbuf = alltoallv(g, enc_sendbuf, enc_recv_lengths)
-    return [_open_from(provider, blob, src) for src, blob in enumerate(enc_recvbuf)]
+    _check_geometry(g, sendbuf, recv_lengths)
+    return _sealed_alltoall(g, provider, sendbuf)

@@ -238,6 +238,7 @@ class _Conn:
         # the head is the rendezvous send whose header is on the wire
         self.out_queue: deque = deque()
         self.awaiting_cts = False
+        self.cts_sent = False  # whether the RTS the reader is on has been answered
         self.bytes_out = 0
         self.bytes_in = 0
         self.error: TransportError | None = None  # why it died; None while up
@@ -426,12 +427,14 @@ class ProcessGroup:
                             "transfer while ours to it awaits CTS; a connection must not "
                             "carry rendezvous transfers in both directions at once"
                         )
+                    # cleared before a receive can see the RTS and answer it
+                    conn.cts_sent = False
                     rdv, posted = self._match_arrival(conn.peer, tag, None)
                     if posted:
                         self._send_cts(conn)
                     # body bytes only start flowing after our CTS goes out
                     body = conn.read_exact(rfile, length)
-                    if not posted and self._still_queued(conn.peer, tag, rdv):
+                    if not conn.cts_sent:
                         raise ConnectionLost(f"peer {conn.peer} sent a body before CTS")
                     rdv._settle(body)
                     rdv = None
@@ -491,15 +494,9 @@ class ProcessGroup:
                 del self._posted[key]
             return handle, True
 
-    def _still_queued(self, src: int, tag: int, handle: RequestHandle) -> bool:
-        # only src's reader appends to (src, tag), so a handle it queued
-        # is the newest there until a receive takes it (and sends CTS)
-        with self._match_lock:
-            queue = self._inbound.get((src, tag))
-            return queue is not None and queue[-1] is handle
-
     def _send_cts(self, conn: _Conn) -> None:
         with conn.lock:
+            conn.cts_sent = True  # before the write, which lets the body come
             conn.write(_CTS)
 
     def _on_connection_dead(
@@ -613,8 +610,9 @@ class ProcessGroup:
         return self.provider
 
     def encrypted_isend(self, dest: int, tag: int, body: bytes) -> RequestHandle:
-        frame = self._require_provider().seal(_byte_sized(body))
-        return self._post_send(dest, tag, frame.to_bytes(), classify_len=frame.plaintext_len)
+        body = _byte_sized(body)
+        frame = self._require_provider().seal(body)
+        return self._post_send(dest, tag, frame.to_bytes(), classify_len=len(body))
 
     def encrypted_irecv(self, src: int, tag: int) -> RequestHandle:
         return self._post_recv(src, tag, provider=self._require_provider())

@@ -13,10 +13,31 @@ import pytest
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
-from secmsg.aead import create_provider
+from secmsg.aead import Frame, IntegrityError, create_provider
 from secmsg.transport import ProcessGroup, StartupError, write_roster
 
 TEST_KEY = bytes(range(32))
+
+
+class PaddedFrameProvider:
+    """A provider whose frames are ``PAD`` bytes longer than AES-GCM's:
+    it seals with AES-GCM and appends ``PAD`` zero bytes, which ``open``
+    checks and strips.  Code that takes a frame's expansion to be 28
+    bytes miscounts with it."""
+
+    PAD = 40
+
+    def __init__(self, key=TEST_KEY):
+        self._inner = create_provider("aes-gcm", key)
+
+    def seal(self, plaintext):
+        return Frame.from_bytes(bytes(self._inner.seal(plaintext).to_bytes()) + bytes(self.PAD))
+
+    def open(self, frame):
+        raw = frame.to_bytes()
+        if raw[-self.PAD:] != bytes(self.PAD):
+            raise IntegrityError("frame padding damaged")
+        return self._inner.open(Frame.from_bytes(raw[:-self.PAD]))
 
 
 def free_roster(n):

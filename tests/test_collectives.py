@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from conftest import TEST_KEY, run_ranks
+from conftest import TEST_KEY, PaddedFrameProvider, run_ranks
 from secmsg.aead import FRAME_OVERHEAD, create_provider
 from secmsg.collectives import (
     CollectiveIntegrityError,
@@ -49,6 +49,13 @@ def alltoall_oracle(sendbufs, rank):
     return [sendbufs[src][rank] for src in range(len(sendbufs))]
 
 
+def both_providers(g):
+    """The group's AES-GCM provider, and one whose frames are 40 bytes
+    longer: the collectives must need nothing of a provider but seal and
+    open."""
+    return g.provider, PaddedFrameProvider()
+
+
 def test_single_rank_degenerate_collectives():
     def fn(g):
         provider = g.provider
@@ -89,11 +96,11 @@ def test_encrypted_alltoall_matches_oracle():
     sendbufs = [[bytes([src * n + dst]) * length for dst in range(n)] for src in range(n)]
 
     def fn(g):
-        return encrypted_alltoall(g, g.provider, sendbufs[g.rank])
+        return [encrypted_alltoall(g, p, sendbufs[g.rank]) for p in both_providers(g)]
 
     results = run_ranks(n, fn)
     for rank in range(n):
-        assert results[rank] == alltoall_oracle(sendbufs, rank)
+        assert results[rank] == [alltoall_oracle(sendbufs, rank)] * 2
 
 
 def test_encrypted_alltoall_rejects_unequal_lengths():
@@ -130,11 +137,11 @@ def test_encrypted_allgather_across_threshold():
     length = threshold  # at the threshold: rendezvous path, same contract
     def fn(g):
         mine = bytes([g.rank]) * length
-        return encrypted_allgather(g, g.provider, mine)
+        return [encrypted_allgather(g, p, mine) for p in both_providers(g)]
 
     results = run_ranks(4, fn, threshold=threshold)
     expected = [bytes([i]) * length for i in range(4)]
-    assert results == [expected] * 4
+    assert results == [[expected] * 2] * 4
 
 
 def test_zero_length_elements_round_trip_as_empty():
@@ -205,11 +212,13 @@ def test_alltoallv_matches_oracle_with_mod3_lengths():
 
     def fn(g):
         recv_lengths = [(src + g.rank) % 3 for src in range(n)]
-        return encrypted_alltoallv(g, g.provider, sendbufs[g.rank], recv_lengths)
+        return [
+            encrypted_alltoallv(g, p, sendbufs[g.rank], recv_lengths) for p in both_providers(g)
+        ]
 
     results = run_ranks(n, fn)
     for rank in range(n):
-        assert results[rank] == alltoall_oracle(sendbufs, rank)
+        assert results[rank] == [alltoall_oracle(sendbufs, rank)] * 2
 
 
 def test_alltoallv_equal_lengths_reduces_to_alltoall():
@@ -234,7 +243,8 @@ def test_alltoallv_inconsistent_lengths_fails_before_data():
             sendbuf = [b"abc", b"yy"]     # 3 bytes headed to rank 0
             recv_lengths = [7, 2]         # but expects 7 back (actual: 4)
         data_bytes_before = g.bytes_sent
-        with pytest.raises(ProtocolError, match="rank"):
+        # the message quotes the lengths the caller passed, not frame lengths
+        with pytest.raises(ProtocolError, match="^rank 0 will send 4 bytes to rank 1, which expects 7$"):
             encrypted_alltoallv(g, g.provider, sendbuf, recv_lengths)
         # only the length vectors moved, no element data
         meta_traffic = g.bytes_sent - data_bytes_before
@@ -245,8 +255,12 @@ def test_alltoallv_inconsistent_lengths_fails_before_data():
         assert meta == 12 + 8 * 2  # one header plus 2n u32s
 
 
-@pytest.mark.parametrize("wrong_about", ["from_peer", "self"])
-def test_alltoallv_one_sided_mismatch_fails_on_every_rank(wrong_about):
+@pytest.mark.parametrize(
+    "wrong_about, encrypted",
+    [("from_peer", False), ("self", False), ("from_peer", True), ("self", True)],
+    ids=["from_peer", "self", "from_peer-encrypted", "self-encrypted"],
+)
+def test_alltoallv_one_sided_mismatch_fails_on_every_rank(wrong_about, encrypted):
     # rank 0 alone is wrong about one element: rank 1's in one case, its
     # own in the other, so no peer sees it in the lengths it is sent; the
     # barrier keeps every group open until all ranks have left alltoallv,
@@ -260,7 +274,10 @@ def test_alltoallv_one_sided_mismatch_fails_on_every_rank(wrong_about):
         if g.rank == 0:
             recv_lengths[1 if wrong_about == "from_peer" else 0] += 1
         try:
-            alltoallv(g, sendbufs[g.rank], recv_lengths)
+            if encrypted:
+                encrypted_alltoallv(g, g.provider, sendbufs[g.rank], recv_lengths)
+            else:
+                alltoallv(g, sendbufs[g.rank], recv_lengths)
         except ProtocolError as exc:
             verdict = str(exc)
         else:
@@ -268,9 +285,11 @@ def test_alltoallv_one_sided_mismatch_fails_on_every_rank(wrong_about):
         finished.wait()
         return verdict
 
-    verdicts = run_ranks(n, fn, with_provider=False, timeout=20)
-    assert verdicts[0] is not None
-    assert verdicts == [verdicts[0]] * n
+    expected = {
+        "from_peer": "rank 1 will send 2 bytes to rank 0, which expects 3",
+        "self": "rank 0 will send 1 bytes to rank 0, which expects 2",
+    }[wrong_about]
+    assert run_ranks(n, fn, timeout=20) == [expected] * n
 
 
 @pytest.mark.parametrize("bad", [-1, -FRAME_OVERHEAD, 1 << 32])
@@ -312,23 +331,32 @@ def test_plaintext_allgather_and_alltoallv():
         assert varied == [bytes([i]) * 2 for i in range(n)]
 
 
-def test_allgather_unequal_lengths_fails_on_every_rank():
+@pytest.mark.parametrize("encrypted", [False, True], ids=["plain", "encrypted"])
+def test_allgather_unequal_lengths_fails_on_every_rank(encrypted):
     # rank 2 contributes 20 bytes, the others 10; the barrier keeps every
     # group open until all ranks have left allgather, so a rank left
     # blocked in recv is not released by a peer closing its connections
     finished = threading.Barrier(3, timeout=10)
 
     def fn(g):
+        element = bytes(20 if g.rank == 2 else 10)
         try:
-            allgather(g, bytes(20 if g.rank == 2 else 10))
-        except ProtocolError:
-            raised = True
+            if encrypted:
+                encrypted_allgather(g, g.provider, element)
+            else:
+                allgather(g, element)
+        except ProtocolError as exc:
+            verdict = str(exc)
         else:
-            raised = False
+            verdict = None
         finished.wait()
-        return raised
+        return verdict
 
-    assert run_ranks(3, fn, with_provider=False) == [True, True, True]
+    assert run_ranks(3, fn) == [
+        "rank 2 contributed 20 bytes, expected 10",
+        "rank 2 contributed 20 bytes, expected 10",
+        "rank 0 contributed 10 bytes, expected 20",
+    ]
 
 
 @pytest.mark.skipif(

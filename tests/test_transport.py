@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import TEST_KEY, free_roster, run_ranks
+from conftest import TEST_KEY, PaddedFrameProvider, free_roster, run_ranks
 from secmsg.aead import FRAME_OVERHEAD, IntegrityError
 from secmsg.transport import (
     HEADER,
@@ -382,6 +382,24 @@ def test_rendezvous_body_sent_before_cts_fails_the_connection():
         return True
 
     assert run_ranks(2, fn, with_provider=False, timeout=30) == [True, True]
+
+
+def test_body_before_cts_fails_after_an_answered_rendezvous():
+    # the CTS that answered the first RTS must not count for the next one
+    def fn(g):
+        if g.rank == 1:
+            g.send(0, DATA, bytes(2000))
+            conn = g._conns[0]
+            with conn.lock:
+                conn.write(HEADER.pack(MODE_RTS, 1000, DATA) + bytes(1000))
+            _poll_until(lambda: conn.error is not None)
+            return True
+        assert g.recv(1, DATA) == bytes(2000)
+        _poll_until(lambda: g._conns[1].error is not None)
+        assert "before CTS" in str(g._conns[1].error)
+        return True
+
+    assert run_ranks(2, fn, threshold=1024, with_provider=False, timeout=30) == [True, True]
 
 
 def test_receive_takes_a_message_that_arrived_before_the_connection_died():
@@ -856,40 +874,46 @@ def test_garbage_frame_surfaces_integrity_error():
 
 
 def test_mode_bit_follows_plaintext_length_not_wire_length():
+    # the split falls on the plaintext length whatever the frame's
+    # expansion: with frames 40 bytes longer, T-1 bytes still go eager
     threshold = 8192
-    writes = []
+    for padded in (False, True):
+        expansion = FRAME_OVERHEAD + (PaddedFrameProvider.PAD if padded else 0)
+        writes = []
 
-    def fn(g):
-        if g.rank == 0:
-            conn = g._conns[1]
-            original = conn.write
+        def fn(g):
+            if padded:
+                g.provider = PaddedFrameProvider()
+            if g.rank == 0:
+                conn = g._conns[1]
+                original = conn.write
 
-            def tap(data):
-                writes.append(bytes(data))
-                return original(data)
+                def tap(data):
+                    writes.append(bytes(data))
+                    return original(data)
 
-            conn.write = tap
-            g.encrypted_send(1, DATA, bytes(threshold - 1))  # eager by plaintext
-            g.encrypted_send(1, DATA, bytes(threshold))      # rendezvous by plaintext
-        else:
-            g.encrypted_recv(0, DATA)
-            g.encrypted_recv(0, DATA)
+                conn.write = tap
+                g.encrypted_send(1, DATA, bytes(threshold - 1))  # eager by plaintext
+                g.encrypted_send(1, DATA, bytes(threshold))      # rendezvous by plaintext
+            else:
+                g.encrypted_recv(0, DATA)
+                g.encrypted_recv(0, DATA)
 
-    run_ranks(2, fn, threshold=threshold)
-    modes = []
-    for w in writes:
-        if len(w) >= HEADER.size:
-            mode, length, _tag = HEADER.unpack(w[: HEADER.size])
-            modes.append((mode, length, len(w)))
-    # first message: eager header+frame in one write, wire body is
-    # plaintext + 28 (larger than the threshold, yet still eager)
-    assert modes[0][0] == 0
-    assert modes[0][1] == threshold - 1 + FRAME_OVERHEAD
-    assert modes[0][2] == HEADER.size + threshold - 1 + FRAME_OVERHEAD
-    # second message: bare RTS header first, body follows after CTS
-    assert modes[1][0] == 1
-    assert modes[1][1] == threshold + FRAME_OVERHEAD
-    assert modes[1][2] == HEADER.size
+        run_ranks(2, fn, threshold=threshold)
+        modes = []
+        for w in writes:
+            if len(w) >= HEADER.size:
+                mode, length, _tag = HEADER.unpack(w[: HEADER.size])
+                modes.append((mode, length, len(w)))
+        # first message: eager header+frame in one write, wire body is
+        # plaintext + expansion (larger than the threshold, yet still eager)
+        assert modes[0][0] == 0
+        assert modes[0][1] == threshold - 1 + expansion
+        assert modes[0][2] == HEADER.size + threshold - 1 + expansion
+        # second message: bare RTS header first, body follows after CTS
+        assert modes[1][0] == 1
+        assert modes[1][1] == threshold + expansion
+        assert modes[1][2] == HEADER.size
 
 
 def test_encrypted_rendezvous_path():
