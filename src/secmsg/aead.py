@@ -22,7 +22,8 @@ Importing this module sets the process's glibc heap policy (see
 ``_keep_freed_heap_mapped``): buffers of up to 32 MiB come from the heap
 instead of their own mappings, and up to 64 MiB of free heap per arena
 stays mapped, so the large frames of consecutive messages reuse memory
-that is already faulted in.
+that is already faulted in.  It does not load ``cryptography``; the
+first ``AesGcmProvider`` does.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import dataclass
-
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 NONCE_LEN = 12
 TAG_LEN = 16
@@ -153,6 +152,10 @@ class AesGcmProvider:
     backend = "aes-gcm"
 
     def __init__(self, key: SecretKey | bytes):
+        # imported here so that commands doing no crypto (fit, predict,
+        # validate) never load the OpenSSL bindings
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
         self.key = key if isinstance(key, SecretKey) else SecretKey(key)
         self._aesgcm = AESGCM(self.key.data)
 

@@ -1,5 +1,5 @@
-"""Encrypted collectives: seal every outgoing element, run the plaintext
-collective, open every incoming element.
+"""Encrypted collectives: seal every element bound for a peer, run the
+plaintext collective, open every element a peer sent.
 
 The plaintext collectives are deliberately simple: broadcast walks a
 binomial tree, and ``alltoall`` is the one pairwise exchange.  It is
@@ -20,12 +20,18 @@ every rank sees the same lengths and reaches the same verdict, and a
 collectives therefore need nothing of a provider but ``seal`` and
 ``open``, whatever a frame's expansion.
 
-Self-addressed elements bypass the wire but are still sealed and opened,
-so every rank performs exactly ``n`` seal calls and ``n`` open calls in
-an all-to-all of group size ``n``.  The sealed frames go out as plain
-messages, so the transport's eager/rendezvous split falls on the frame
-length (plaintext + 28), not on the plaintext length as it does for the
-point-to-point encrypted calls.
+Only bytes that leave the process are sealed.  A self-addressed element
+never reaches the wire, so it is neither sealed nor opened: the self
+slot of the result is the caller's own object, as in ``alltoall``.  In
+an all-to-all of group size ``n`` every rank therefore makes exactly
+``n - 1`` seal calls and ``n - 1`` open calls; ``encrypted_allgather``
+seals its element once (not at all when ``n == 1``) and opens the
+``n - 1`` peer frames; the ``encrypted_bcast`` root seals once when it
+has a peer and opens nothing, and every other rank opens once.  The
+sealed frames go out as plain messages, so the transport's
+eager/rendezvous split falls on the frame length (plaintext + 28), not
+on the plaintext length as it does for the point-to-point encrypted
+calls.
 """
 
 from __future__ import annotations
@@ -129,10 +135,13 @@ def _check_geometry(g: ProcessGroup, sendbuf: list[bytes], recv_lengths: list[in
     n = g.size
     if len(sendbuf) != n or len(recv_lengths) != n:
         raise ValueError(f"sendbuf and recv_lengths must each have {n} elements")
+    send_lengths = [len(element) for element in sendbuf]
+    if max(send_lengths) > MAX_BODY:
+        raise ValueError(f"sendbuf elements must be at most {MAX_BODY} bytes")
     if not all(0 <= length <= MAX_BODY for length in recv_lengths):
         raise ValueError(f"recv_lengths must be in [0, {MAX_BODY}]")
     lengths = struct.Struct(f"<{2 * n}I")
-    mine = lengths.pack(*(len(element) for element in sendbuf), *recv_lengths)
+    mine = lengths.pack(*send_lengths, *recv_lengths)
     rows = [lengths.unpack(row) for row in allgather(g, mine)]
     for src in range(n):
         for dst in range(n):
@@ -162,11 +171,24 @@ def _open_from(provider: AesGcmProvider, blob: bytes, source_rank: int) -> bytes
         raise CollectiveIntegrityError(source_rank) from exc
 
 
+def _open_peers(
+    g: ProcessGroup, provider: AesGcmProvider, received: list[bytes], own: bytes
+) -> list[bytes]:
+    """Open every frame a peer sent; the self slot becomes ``own``."""
+    return [
+        own if src == g.rank else _open_from(provider, blob, src)
+        for src, blob in enumerate(received)
+    ]
+
+
 def _sealed_alltoall(
     g: ProcessGroup, provider: AesGcmProvider, sendbuf: list[bytes]
 ) -> list[bytes]:
-    sealed = [provider.seal(element).to_bytes() for element in sendbuf]
-    return [_open_from(provider, blob, src) for src, blob in enumerate(alltoall(g, sealed))]
+    sealed = [
+        element if dst == g.rank else provider.seal(element).to_bytes()
+        for dst, element in enumerate(sendbuf)
+    ]
+    return _open_peers(g, provider, alltoall(g, sealed), sendbuf[g.rank])
 
 
 def encrypted_alltoall(
@@ -184,25 +206,26 @@ def encrypted_alltoall(
 def encrypted_allgather(
     g: ProcessGroup, provider: AesGcmProvider, element: bytes
 ) -> list[bytes]:
-    """Allgather where each rank seals its own element exactly once; the
-    contributed lengths are checked on the opened plaintexts."""
-    sealed = provider.seal(element).to_bytes()
-    enc_all = alltoall(g, [sealed] * g.size)
-    opened = [_open_from(provider, blob, src) for src, blob in enumerate(enc_all)]
-    return _check_gathered(opened, len(element))
+    """Allgather where each rank seals its own element once, and only if
+    it has a peer; the contributed lengths are checked on the opened
+    plaintexts."""
+    sealed = provider.seal(element).to_bytes() if g.size > 1 else element
+    received = alltoall(g, [sealed] * g.size)
+    return _check_gathered(_open_peers(g, provider, received, element), len(element))
 
 
 def encrypted_bcast(
     g: ProcessGroup, provider: AesGcmProvider, root: int, body: bytes | None = None
 ) -> bytes:
-    """Broadcast with one seal at the root and one open per rank."""
-    sealed = None
+    """Broadcast with one seal at the root, when it has a peer, and one
+    open at every other rank; the root gets back its own ``body``."""
     if g.rank == root:
         if body is None:
             raise ValueError("root must supply a body")
-        sealed = provider.seal(body).to_bytes()
-    frame = bcast(g, root, sealed)
-    return _open_from(provider, frame, root)
+        if g.size > 1:
+            bcast(g, root, provider.seal(body).to_bytes())
+        return body
+    return _open_from(provider, bcast(g, root), root)
 
 
 def encrypted_alltoallv(

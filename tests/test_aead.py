@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,3 +140,19 @@ def test_independent_instances_same_key_interoperate():
     a = AesGcmProvider(KEY)
     b = AesGcmProvider(KEY)
     assert b.open(a.seal(b"cross")) == b"cross"
+
+
+def test_cryptography_is_loaded_only_when_a_provider_is_built():
+    # fit, predict and validate do no crypto, so importing the CLI must
+    # not load the OpenSSL bindings; building a provider does
+    script = (
+        "import sys, secmsg.cli\n"
+        "print('cryptography' in sys.modules)\n"
+        "from secmsg.aead import create_provider\n"
+        "create_provider('aes-gcm', bytes(32))\n"
+        "print('cryptography' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.split() == ["False", "True"]

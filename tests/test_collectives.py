@@ -20,6 +20,7 @@ from secmsg.collectives import (
     encrypted_alltoallv,
     encrypted_bcast,
 )
+from secmsg.transport import HEADER
 
 
 class RecordingProvider:
@@ -155,7 +156,8 @@ def test_zero_length_elements_round_trip_as_empty():
     assert results == [[b"", b""], [b"", b""]]
 
 
-def test_alltoall_seal_and_open_counts_equal_group_size():
+def test_alltoall_seal_and_open_counts_equal_peer_count():
+    # the self element never leaves the process, so it is not sealed
     n = 4
 
     def fn(g):
@@ -163,7 +165,7 @@ def test_alltoall_seal_and_open_counts_equal_group_size():
         encrypted_alltoall(g, provider, [bytes(8)] * n)
         return provider.seal_calls, provider.open_calls
 
-    assert run_ranks(n, fn) == [(n, n)] * n
+    assert run_ranks(n, fn) == [(n - 1, n - 1)] * n
 
 
 def test_nonce_distinct_across_elements_of_one_call():
@@ -175,7 +177,87 @@ def test_nonce_distinct_across_elements_of_one_call():
         return provider.nonces
 
     for nonces in run_ranks(n, fn):
-        assert len(set(nonces)) == len(nonces) == n
+        assert len(set(nonces)) == len(nonces) == n - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_encrypted_collectives_seal_and_open_only_peer_traffic(n):
+    def counts(call):
+        provider = RecordingProvider()
+        call(provider)
+        return provider.seal_calls, provider.open_calls
+
+    def fn(g):
+        return {
+            "alltoall": counts(lambda p: encrypted_alltoall(g, p, [bytes(8)] * n)),
+            "alltoallv": counts(lambda p: encrypted_alltoallv(g, p, [bytes(8)] * n, [8] * n)),
+            "allgather": counts(lambda p: encrypted_allgather(g, p, bytes(8))),
+            "bcast": counts(lambda p: encrypted_bcast(g, p, 0, bytes(8) if g.rank == 0 else None)),
+        }
+
+    has_peer = int(n > 1)
+    for rank, result in enumerate(run_ranks(n, fn)):
+        assert result == {
+            "alltoall": (n - 1, n - 1),
+            "alltoallv": (n - 1, n - 1),
+            "allgather": (has_peer, n - 1),
+            "bcast": (has_peer, 0) if rank == 0 else (0, 1),
+        }
+
+
+def test_encrypted_self_slot_is_the_callers_object():
+    def fn(g):
+        sendbuf = [bytearray([g.rank, peer]) for peer in range(g.size)]
+        received = encrypted_alltoall(g, g.provider, sendbuf)
+        assert received[g.rank] is sendbuf[g.rank]
+        assert encrypted_alltoallv(g, g.provider, sendbuf, [2] * g.size)[g.rank] is sendbuf[g.rank]
+        mine = bytearray([g.rank])
+        assert encrypted_allgather(g, g.provider, mine)[g.rank] is mine
+        if g.rank == 0:
+            assert encrypted_bcast(g, g.provider, 0, mine) is mine
+        else:
+            encrypted_bcast(g, g.provider, 0)
+        return [bytes(element) for element in received]
+
+    assert run_ranks(2, fn) == [
+        [bytes([0, 0]), bytes([1, 0])],
+        [bytes([0, 1]), bytes([1, 1])],
+    ]
+
+
+@pytest.mark.parametrize("collective", ["alltoall", "allgather"])
+@pytest.mark.parametrize("length", [1024, 131072], ids=["eager", "rendezvous"])
+def test_peer_elements_travel_sealed(collective, length):
+    # n=2: each rank sends its peer one message whose body is the sealed
+    # element (plaintext + 28); a rendezvous adds the one-byte CTS this
+    # rank answers its peer's RTS with
+    threshold = 131072
+
+    def call(g):
+        element = bytes([g.rank]) * length
+        if collective == "alltoall":
+            return encrypted_alltoall(g, g.provider, [element] * 2)
+        return encrypted_allgather(g, g.provider, element)
+
+    def fn(g):
+        before = g.bytes_sent
+        received = call(g)
+        return received, g.bytes_sent - before
+
+    cts = 1 if length + FRAME_OVERHEAD >= threshold else 0
+    expected = [bytes([0]) * length, bytes([1]) * length]
+    for received, sent in run_ranks(2, fn, threshold=threshold):
+        assert received == expected
+        assert sent == HEADER.size + length + FRAME_OVERHEAD + cts
+
+    # rank 1 seals under a different key, so each rank rejects its peer's
+    # element and names the peer
+    def tampered(g):
+        with pytest.raises(CollectiveIntegrityError) as info:
+            call(g)
+        return info.value.source_rank
+
+    assert run_ranks(2, tampered, threshold=threshold, keys=[TEST_KEY, bytes(32)]) == [1, 0]
 
 
 def test_allgather_seals_own_element_once():
@@ -299,6 +381,24 @@ def test_alltoallv_recv_length_outside_u32_fails_before_sending(bad):
         for call in (alltoallv, lambda g, *a: encrypted_alltoallv(g, g.provider, *a)):
             with pytest.raises(ValueError):
                 call(g, [b"", b""], [0, bad] if g.rank == 0 else [bad, 0])
+        return g.bytes_sent - before
+
+    assert run_ranks(2, fn) == [0, 0]
+
+
+class Oversized:
+    """A send element that claims 2**32 bytes without holding them."""
+
+    def __len__(self):
+        return 1 << 32
+
+
+def test_alltoallv_send_length_outside_u32_fails_before_sending():
+    def fn(g):
+        before = g.bytes_sent
+        for call in (alltoallv, lambda g, *a: encrypted_alltoallv(g, g.provider, *a)):
+            with pytest.raises(ValueError):
+                call(g, [b"", Oversized()] if g.rank == 0 else [Oversized(), b""], [0, 0])
         return g.bytes_sent - before
 
     assert run_ranks(2, fn) == [0, 0]
