@@ -6,9 +6,10 @@ total regardless of plaintext length.
 
 A provider is any object with ``seal(bytes) -> Frame`` and
 ``open(Frame) -> bytes``; ``open`` raises ``IntegrityError`` when a frame
-fails authentication.  The transport and the collectives need nothing
-more: neither derives a plaintext length from a frame, so a provider
-whose frames expand by other than 28 bytes works with both.
+fails authentication, as ``Frame.from_bytes`` does for a short buffer.
+The transport and the collectives need nothing more: neither derives a
+plaintext length from a frame, so a provider whose frames expand by
+other than 28 bytes works with both.
 ``create_provider`` builds one by backend name from ``BACKENDS``, which
 holds one entry, ``AesGcmProvider`` (the ``cryptography`` package's
 AES-GCM), until other ciphers are registered beside it.
@@ -133,9 +134,7 @@ class Frame:
     @classmethod
     def from_bytes(cls, raw: bytes | bytearray) -> "Frame":
         if len(raw) < FRAME_OVERHEAD:
-            raise ValueError(
-                f"frame must be at least {FRAME_OVERHEAD} bytes, got {len(raw)}"
-            )
+            raise IntegrityError(f"frame must be at least {FRAME_OVERHEAD} bytes, got {len(raw)}")
         frame = cls()
         frame._buf = raw
         return frame

@@ -167,7 +167,7 @@ def alltoallv(g: ProcessGroup, sendbuf: list[bytes], recv_lengths: list[int]) ->
 def _open_from(provider: AesGcmProvider, blob: bytes, source_rank: int) -> bytes:
     try:
         return provider.open(Frame.from_bytes(blob))
-    except (IntegrityError, ValueError) as exc:
+    except IntegrityError as exc:
         raise CollectiveIntegrityError(source_rank) from exc
 
 

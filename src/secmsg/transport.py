@@ -42,8 +42,10 @@ pairwise exchanges by rank to stay clear of it.
 A connection whose read or write fails is shut down, and every send
 queued on it and every receive posted or matched on it fails with
 ``ConnectionLost``; the peer's reader then sees EOF and does the same.
-``close()`` fails whatever still waits on any connection the same way,
-and every call made after ``close()`` raises ``ConnectionLost``.  The
+``close()`` is local and waits for no peer: a graceful close lets this
+rank's posted sends settle, then fails every connection the same way, so
+a peer still waiting on the closed rank reads EOF and ``ConnectionLost``.
+Every call made after ``close()`` raises ``ConnectionLost`` too.  The
 first cause of a connection's death is kept, and every later send on
 that connection raises ``ConnectionLost`` naming it.  A later receive
 still takes whatever arrived before the connection died, in arrival
@@ -201,9 +203,8 @@ class RequestHandle:
                     if self._error is None:
                         try:
                             self._body = self._provider.open(Frame.from_bytes(self._body))
-                        except (IntegrityError, ValueError) as exc:
-                            err = exc if isinstance(exc, IntegrityError) else IntegrityError(str(exc))
-                            self._error = err
+                        except IntegrityError as exc:
+                            self._error = exc
                     self._provider = None
             finally:
                 gate.release()
@@ -386,10 +387,6 @@ class ProcessGroup:
         self._conns[peer] = _Conn(peer, sock)
 
     # -- properties -----------------------------------------------------
-
-    @property
-    def connection_count(self) -> int:
-        return len(self._conns)
 
     @property
     def bytes_sent(self) -> int:
@@ -643,20 +640,25 @@ class ProcessGroup:
             step <<= 1
 
     def close(self, *, synchronize: bool = True) -> None:
-        """Tear down the mesh.
+        """Tear down this rank's end of the mesh, waiting for no peer.
 
-        By default the teardown is collective: ranks align on a final
-        barrier before any socket goes away, so a fast rank cannot kill
-        its peers mid-operation.  ``synchronize=False`` tears down
-        immediately (failure paths, or deliberately abrupt shutdown).
+        By default it first waits until every send this rank has posted
+        has settled, so an unwaited send still completes; a peer reads all
+        that was written before EOF, and one still waiting on this rank
+        gets ``ConnectionLost``.  ``synchronize=False`` skips the wait
+        (failure paths, or deliberately abrupt shutdown).
         """
         if self._closing:
             return
-        if synchronize and all(c.error is None for c in self._conns.values()):
-            try:
-                self.barrier()
-            except TransportError:
-                pass
+        if synchronize:
+            for conn in self._conns.values():
+                with conn.lock:  # sends settle in posting order: wait on the last
+                    last = conn.out_queue[-1][1] if conn.out_queue else None
+                if last is not None:
+                    try:
+                        last.wait()
+                    except TransportError:
+                        pass
         self._closing = True
         closed = ConnectionLost(f"rank {self.rank}: the group is closed")
         for conn in self._conns.values():
@@ -673,7 +675,6 @@ class ProcessGroup:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # graceful collective close on success; abrupt on error, since a
-        # failing rank cannot assume its peers will reach the farewell
-        # barrier
+        # either way the close is local; on success it first completes
+        # this rank's posted sends, on error it drops them
         self.close(synchronize=exc_type is None)

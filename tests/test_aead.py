@@ -79,7 +79,7 @@ def test_frame_layout_nonce_then_ciphertext(provider):
     assert raw[:12] == frame.nonce
     assert raw[12:] == frame.ciphertext_and_tag
     # the tag is the trailing 16 bytes: truncating it must break auth
-    with pytest.raises(ValueError):
+    with pytest.raises(IntegrityError):
         Frame.from_bytes(raw[:20])
     with pytest.raises(IntegrityError):
         provider.open(Frame.from_bytes(raw[:-1]))

@@ -20,7 +20,7 @@ from secmsg.collectives import (
     encrypted_alltoallv,
     encrypted_bcast,
 )
-from secmsg.transport import HEADER
+from secmsg.transport import HEADER, TransportError
 
 
 class RecordingProvider:
@@ -457,6 +457,38 @@ def test_allgather_unequal_lengths_fails_on_every_rank(encrypted):
         "rank 2 contributed 20 bytes, expected 10",
         "rank 0 contributed 10 bytes, expected 20",
     ]
+
+
+@pytest.mark.parametrize(
+    "n, call",
+    [
+        (2, lambda g: alltoall(g, [b"x"] * (1 if g.rank == 0 else 2))),
+        (2, lambda g: encrypted_alltoall(g, g.provider, [b"x", b"yy" if g.rank == 0 else b"y"])),
+        (2, lambda g: bcast(g, 0)),
+        (4, lambda g: bcast(g, 0)),
+        (2, lambda g: encrypted_bcast(g, g.provider, 0)),
+        (2, lambda g: alltoallv(g, [b"x", b"y"], [1, -1] if g.rank == 0 else [1, 1])),
+        (2, lambda g: encrypted_alltoallv(
+            g, g.provider, [b"x", b"y"], [1, -1] if g.rank == 0 else [1, 1])),
+    ],
+    ids=["alltoall", "encrypted_alltoall", "bcast", "bcast-4-ranks", "encrypted_bcast",
+         "alltoallv", "encrypted_alltoallv"],
+)
+def test_a_rank_that_abandons_a_collective_releases_its_peers(n, call):
+    # rank 0 alone passes bad arguments (the bcast root supplies no
+    # body), catches the ValueError and leaves its group normally; every
+    # peer still waiting on it, directly or through another rank, must
+    # fail with a TransportError instead of blocking
+    def fn(g):
+        try:
+            call(g)
+        except (ValueError, TransportError) as exc:
+            return exc
+        return None
+
+    results = run_ranks(n, fn, timeout=20)
+    assert isinstance(results[0], ValueError), results
+    assert all(isinstance(r, TransportError) for r in results[1:]), results
 
 
 @pytest.mark.skipif(

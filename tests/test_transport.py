@@ -30,13 +30,13 @@ SYNC = 8
 def test_single_rank_group_is_trivial():
     with ProcessGroup(0, [("127.0.0.1", 1)]) as g:
         assert g.size == 1 and g.rank == 0
-        assert g.connection_count == 0
+        assert len(g._conns) == 0
         g.barrier()
 
 
 def test_four_rank_mesh_has_six_connections():
     def fn(g):
-        return g.connection_count
+        return len(g._conns)
 
     counts = run_ranks(4, fn, with_provider=False)
     assert counts == [3, 3, 3, 3]
@@ -476,6 +476,51 @@ def test_calls_after_close_raise_transport_error():
         return True
 
     assert run_ranks(2, fn) == [True, True]
+
+
+def test_a_rank_that_leaves_without_its_promised_send_releases_the_receiver():
+    def fn(g):
+        if g.rank == 0:
+            return None  # leaves normally, never sending what rank 1 waits for
+        with pytest.raises(ConnectionLost):
+            g.recv(0, DATA)
+        return True
+
+    assert run_ranks(2, fn, with_provider=False, timeout=20) == [None, True]
+
+
+def test_graceful_close_completes_sends_no_one_waited_on():
+    # rank 0 closes with a rendezvous send it never waited on; rank 1
+    # takes the eager messages only once rank 0's close() has returned,
+    # so every body must come through the teardown intact
+    eager = [os.urandom(size) for size in (0, 1, 1000, 100_000)]
+    large = os.urandom(300_000)
+    closed = threading.Event()
+
+    def fn(g):
+        if g.rank == 0:
+            for body in eager:
+                g.send(1, DATA, body)
+            g.isend(1, SYNC, large)
+            g.close()
+            closed.set()
+            return True
+        rendezvous = g.irecv(0, SYNC)
+        assert closed.wait(20), "rank 0's close() did not return"
+        got = [g.recv(0, DATA) for _ in eager]
+        rendezvous.wait(timeout=10)
+        return got == eager and rendezvous.data == large
+
+    assert run_ranks(2, fn, with_provider=False, timeout=60) == [True, True]
+
+
+def test_graceful_close_with_nothing_queued_writes_nothing():
+    def fn(g):
+        before = g.bytes_sent
+        g.close()
+        return g.bytes_sent - before
+
+    assert run_ranks(3, fn, with_provider=False) == [0, 0, 0]
 
 
 @pytest.mark.parametrize("state", ["posted", "matched"])
@@ -959,7 +1004,7 @@ def test_connection_loss_fails_pending_receives():
         try:
             g = ProcessGroup(1, roster, timeout=30)
             time.sleep(0.2)  # let rank 0 post its receive
-            g.close(synchronize=False)  # abrupt: no farewell barrier
+            g.close(synchronize=False)  # abrupt, as on a failure path
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
