@@ -484,12 +484,15 @@ def read_samples_csv(path: str) -> list[LatencySample]:
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(CSV_FIELDS)}")
         for row in reader:
-            samples.append(
-                LatencySample(
-                    message_size=int(row["size_bytes"]),
-                    k_pairs=int(row["k_pairs"]),
-                    run_index=int(row["run_index"]),
-                    latency_us=float(row["latency_us"]),
+            try:
+                samples.append(
+                    LatencySample(
+                        message_size=int(row["size_bytes"]),
+                        k_pairs=int(row["k_pairs"]),
+                        run_index=int(row["run_index"]),
+                        latency_us=float(row["latency_us"]),
+                    )
                 )
-            )
+            except (TypeError, ValueError) as exc:  # a missing field reads as None
+                raise ValueError(f"{path}, line {reader.line_num}: bad sample row ({exc})") from exc
     return samples

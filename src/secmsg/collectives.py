@@ -28,7 +28,7 @@ an all-to-all of group size ``n`` every rank therefore makes exactly
 seals its element once (not at all when ``n == 1``) and opens the
 ``n - 1`` peer frames; the ``encrypted_bcast`` root seals once when it
 has a peer and opens nothing, and every other rank opens once.  The
-sealed frames go out as plain messages, so the transport's
+sealed frames go out, unwrapped, as plain messages, so the transport's
 eager/rendezvous split falls on the frame length (plaintext + 28), not
 on the plaintext length as it does for the point-to-point encrypted
 calls.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import struct
 
-from .aead import AesGcmProvider, Frame, IntegrityError
+from .aead import AesGcmProvider, IntegrityError
 from .transport import COLLECTIVE_TAG, MAX_BODY, ProcessGroup, TransportError
 
 
@@ -166,7 +166,7 @@ def alltoallv(g: ProcessGroup, sendbuf: list[bytes], recv_lengths: list[int]) ->
 
 def _open_from(provider: AesGcmProvider, blob: bytes, source_rank: int) -> bytes:
     try:
-        return provider.open(Frame.from_bytes(blob))
+        return provider.open(blob)
     except IntegrityError as exc:
         raise CollectiveIntegrityError(source_rank) from exc
 
@@ -185,7 +185,7 @@ def _sealed_alltoall(
     g: ProcessGroup, provider: AesGcmProvider, sendbuf: list[bytes]
 ) -> list[bytes]:
     sealed = [
-        element if dst == g.rank else provider.seal(element).to_bytes()
+        element if dst == g.rank else provider.seal(element)
         for dst, element in enumerate(sendbuf)
     ]
     return _open_peers(g, provider, alltoall(g, sealed), sendbuf[g.rank])
@@ -209,7 +209,7 @@ def encrypted_allgather(
     """Allgather where each rank seals its own element once, and only if
     it has a peer; the contributed lengths are checked on the opened
     plaintexts."""
-    sealed = provider.seal(element).to_bytes() if g.size > 1 else element
+    sealed = provider.seal(element) if g.size > 1 else element
     received = alltoall(g, [sealed] * g.size)
     return _check_gathered(_open_peers(g, provider, received, element), len(element))
 
@@ -223,7 +223,7 @@ def encrypted_bcast(
         if body is None:
             raise ValueError("root must supply a body")
         if g.size > 1:
-            bcast(g, root, provider.seal(body).to_bytes())
+            bcast(g, root, provider.seal(body))
         return body
     return _open_from(provider, bcast(g, root), root)
 

@@ -514,7 +514,10 @@ def save_params(path: str, ps: ParameterSet) -> None:
 
 def load_params(path: str) -> ParameterSet:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            return from_json_dict(json.load(fh))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad parameter set ({type(exc).__name__}: {exc})") from exc
 
 
 # Calibration presets.  Ping-pong flavors carry the blocking single-pair

@@ -13,10 +13,10 @@ whose payload classifies below the configured threshold are sent eagerly
 (header and body written back to back); larger ones use a rendezvous
 handshake: the header goes out with mode RTS, the receiver answers with
 the one-byte unit ``MODE_CTS`` once a matching receive is posted, and
-only then does the body follow.  Encrypted variants carry a sealed frame
-as the body (wire body is 28 bytes longer than the plaintext); the
-eager/rendezvous decision is made on the plaintext length so that the
-protocol split lines up with the sizes a benchmark sweep requests.
+only then does the body follow.  Encrypted variants send ``seal``'s frame
+as the body and ``open`` the body received, both as they are (28 bytes
+over the plaintext), and make the eager/rendezvous decision on the
+plaintext length, so the split lines up with a benchmark sweep's sizes.
 (``collectives`` seals its elements itself and sends the frames as plain
 messages, so its split is on the frame length.)
 
@@ -73,7 +73,7 @@ import threading
 import time
 from collections import deque
 
-from .aead import AesGcmProvider, Frame, IntegrityError
+from .aead import AesGcmProvider, IntegrityError
 
 HEADER = struct.Struct("<B3xII")  # mode, body_length, tag; 12 bytes
 HELLO = struct.Struct("<I")
@@ -152,7 +152,7 @@ class RequestHandle:
     settled handle returns immediately, and, as with ``Event.wait``, a
     ``timeout`` of zero or less polls: a pending handle raises
     ``TimeoutError`` at once.  For encrypted receives the first ``wait``
-    opens the frame and replaces the body with the plaintext, and only
+    opens the received body and replaces it with the plaintext, and only
     then does ``data`` expose it; concurrent ``wait`` calls open it once.
     """
 
@@ -202,7 +202,7 @@ class RequestHandle:
                 if self._provider is not None:  # the first waiter through opens it
                     if self._error is None:
                         try:
-                            self._body = self._provider.open(Frame.from_bytes(self._body))
+                            self._body = self._provider.open(self._body)
                         except IntegrityError as exc:
                             self._error = exc
                     self._provider = None
@@ -609,7 +609,7 @@ class ProcessGroup:
     def encrypted_isend(self, dest: int, tag: int, body: bytes) -> RequestHandle:
         body = _byte_sized(body)
         frame = self._require_provider().seal(body)
-        return self._post_send(dest, tag, frame.to_bytes(), classify_len=len(body))
+        return self._post_send(dest, tag, frame, classify_len=len(body))
 
     def encrypted_irecv(self, src: int, tag: int) -> RequestHandle:
         return self._post_recv(src, tag, provider=self._require_provider())

@@ -13,10 +13,10 @@ import sys
 import pytest
 
 import synth
-from conftest import TEST_KEY, run_cli_ranks, run_ranks, summary_rows
+from helpers import TEST_KEY, run_cli_ranks, run_ranks, summary_rows
 from secmsg import benchmarks as bm
 from secmsg import collectives as coll
-from secmsg.aead import FRAME_OVERHEAD, AesGcmProvider, Frame, IntegrityError, SecretKey
+from secmsg.aead import FRAME_OVERHEAD, AesGcmProvider, IntegrityError, SecretKey
 from secmsg.benchmarks import StopPolicy, StopReason, run_until_stable, throughput
 from secmsg.models import (
     ENCDEC_PRESETS,
@@ -179,23 +179,23 @@ def test_acceptance_5_aead_suite(capsys):
     for _ in range(10_000):
         plaintext = os.urandom(rng.randint(1, 65536))
         frame = provider.seal(plaintext)
-        assert len(frame.to_bytes()) - len(plaintext) == FRAME_OVERHEAD
+        assert len(frame) - len(plaintext) == FRAME_OVERHEAD
         assert provider.open(frame) == plaintext
 
-    raw = provider.seal(os.urandom(64 - FRAME_OVERHEAD)).to_bytes()
+    raw = provider.seal(os.urandom(64 - FRAME_OVERHEAD))
     assert len(raw) == 64
     rejected = 0
     for position in range(64):
         corrupted = bytearray(raw)
         corrupted[position] ^= 0x01
         try:
-            provider.open(Frame.from_bytes(bytes(corrupted)))
+            provider.open(corrupted)
         except IntegrityError:
             rejected += 1
     assert rejected == 64
 
     for length in (0, 1, 15, 16, 17, 255, 256, 4096, 65536):
-        assert len(provider.seal(bytes(length)).to_bytes()) == length + 28
+        assert len(provider.seal(bytes(length))) == length + 28
 
     _report(capsys, 5, "10,000 round trips, 64/64 tamper rejections, expansion exactly 28")
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import run_ranks
+from helpers import run_ranks
 from secmsg import benchmarks as bm
 from secmsg.aead import ProviderError
 from secmsg.benchmarks import (

@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 import synth
-from conftest import run_cli_ranks, summary_rows
+from helpers import run_cli_ranks, summary_rows
 from secmsg.benchmarks import LatencySample, read_samples_csv, write_samples_csv
 from secmsg.cli import main
 from secmsg.models import (
@@ -223,6 +223,30 @@ def test_predict_requires_sections(tmp_path, capsys):
         json.dump({"encdec": {"alpha_us": 1.0, "beta_us_per_byte": 1e-4}}, fh)
     rc = main(["predict", "--mode", "single", "--params", path, "--size", "64"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("row", ["1024,1,0", "1024,1,0,abc", "-1,1,0,2.5"])
+def test_malformed_samples_csv_is_error_not_traceback(tmp_path, capsys, row):
+    path = tmp_path / "samples.csv"
+    path.write_text(f"size_bytes,k_pairs,run_index,latency_us\n16,1,0,1.5\n{row}\n")
+    for argv in (["fit", "encdec", "--input", str(path)],
+                 ["validate", "--mode", "single", "--preset", "ib", "--measured", str(path)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}, line 3" in err, err
+
+
+@pytest.mark.parametrize("doc", [
+    {"hockney": {"eager": {"alpha": 1}}},
+    {"hockney": {"rendezvous": {"alpha_us": 1.0, "beta_us_per_byte": 1e-4}}},
+    {"encdec": {"alpha_us": -1.0, "beta_us_per_byte": 1e-4}},
+])
+def test_malformed_parameter_json_is_error_not_traceback(tmp_path, capsys, doc):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    assert main(["predict", "--mode", "single", "--params", str(path), "--size", "64"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err, err
 
 
 def test_validate_identity_and_shuffle_independence(tmp_path, capsys):

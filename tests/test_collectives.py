@@ -6,8 +6,8 @@ import threading
 
 import pytest
 
-from conftest import TEST_KEY, PaddedFrameProvider, run_ranks
-from secmsg.aead import FRAME_OVERHEAD, create_provider
+from helpers import TEST_KEY, PaddedFrameProvider, run_ranks
+from secmsg.aead import FRAME_OVERHEAD, NONCE_LEN, create_provider
 from secmsg.collectives import (
     CollectiveIntegrityError,
     ProtocolError,
@@ -36,13 +36,13 @@ class RecordingProvider:
     def seal(self, plaintext):
         self.seal_calls += 1
         frame = self._inner.seal(plaintext)
-        self.nonces.append(frame.nonce)
-        self.frame_lengths.append(len(frame.to_bytes()))
+        self.nonces.append(bytes(frame[:NONCE_LEN]))
+        self.frame_lengths.append(len(frame))
         return frame
 
-    def open(self, frame):
+    def open(self, buf):
         self.open_calls += 1
-        return self._inner.open(frame)
+        return self._inner.open(buf)
 
 
 def alltoall_oracle(sendbufs, rank):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import TEST_KEY, PaddedFrameProvider, free_roster, run_ranks
+from helpers import TEST_KEY, PaddedFrameProvider, free_roster, run_ranks
 from secmsg.aead import FRAME_OVERHEAD, IntegrityError
 from secmsg.transport import (
     HEADER,
