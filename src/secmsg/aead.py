@@ -7,7 +7,9 @@ bytes of expansion total regardless of plaintext length.
 A provider is any object with ``seal(plaintext)``, which returns the
 frame as the wire body, and ``open(buf) -> bytes``, which takes any
 byte-format buffer and raises ``IntegrityError`` when it is too short
-to be a frame or fails authentication.  The transport and the
+to be a frame or fails authentication.  One instance must take
+concurrent calls: a process group opens in its reader threads, one per
+peer, while the caller's threads seal and open.  The transport and the
 collectives need nothing more: neither derives a plaintext length from
 a frame, so a provider whose frames expand by other than 28 bytes works
 with both.
@@ -95,7 +97,9 @@ class SecretKey:
         try:
             raw = bytes.fromhex(text)
         except ValueError as exc:
-            raise ValueError(f"invalid key hex: {text!r}") from exc
+            # fromhex names the position of the fault, never the text,
+            # which is key material
+            raise ValueError(f"invalid key hex ({len(text)} characters): {exc}") from None
         return cls(raw)
 
     def __repr__(self) -> str:  # never leak key material in logs
@@ -131,9 +135,8 @@ class Frame(bytearray):
 class AesGcmProvider:
     """Seals and opens frames under one key with ``cryptography``'s AES-GCM.
 
-    Instances are independent and may be used from different threads
-    simultaneously; a single instance is not required to support
-    concurrent calls.
+    One instance may seal and open from several threads at once, as a
+    process group needs.
     """
 
     backend = "aes-gcm"

@@ -396,13 +396,6 @@ def fit_maxrate(samples: Iterable[LatencySample]) -> MaxRateParams:
     )
 
 
-def maxrate_residual(params: MaxRateClassParams, data: list[tuple[int, int, float]]) -> float:
-    """Sum of squared residuals of one class model over (k, m, latency)."""
-    return sum(
-        (params.predict(k, m) - y) ** 2 for k, m, y in data
-    )
-
-
 # -- measured-versus-predicted reports ------------------------------------
 
 

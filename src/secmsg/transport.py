@@ -23,10 +23,15 @@ messages, so its split is on the frame length.)
 Receives are matched per (source, tag) in arrival order, with two FIFO
 queues of ``RequestHandle``s: posted receives that no message has
 reached yet, and arrivals that no receive has taken yet.  An arriving
-message takes the oldest posted receive or queues a new handle; an eager
-body completes a queued handle at once, so a queued handle that is not
-done is an RTS, and the receive that takes it sends the CTS.  The handle
-that a receive returns is the one its message completes.
+message takes the oldest posted receive or queues a new handle.  A queued
+handle holds an eager body as it came, and the receive that takes it
+completes it; one without a body is an RTS, and the receive that takes it
+sends the CTS.  The handle that a receive returns is the one its message
+completes.  An encrypted receive opens the body as it completes, where
+the body lands: in the reader thread when the receive was posted first
+or the message came by rendezvous, in the receiving thread when an eager
+message came first.  Either way it is done only once it holds the
+plaintext or its error, and ``open`` runs under no lock of the group.
 
 Per connection, sends go out in the order they were posted: at most one
 rendezvous send is in flight at a time, and sends queued behind it drain
@@ -73,7 +78,7 @@ import threading
 import time
 from collections import deque
 
-from .aead import AesGcmProvider, IntegrityError
+from .aead import AesGcmProvider
 
 HEADER = struct.Struct("<B3xII")  # mode, body_length, tag; 12 bytes
 HELLO = struct.Struct("<I")
@@ -84,6 +89,12 @@ MODE_CTS = 2  # a one-byte unit, no header
 _CTS = bytes([MODE_CTS])
 
 DEFAULT_THRESHOLD = 131072  # plaintext bytes; at or above goes rendezvous
+
+# A reader's receive buffer.  The io default (8 KiB) splits every eager
+# message above it over two or three recv calls, and each call hands the
+# GIL to the group's other threads; with 64 KiB, a reader that falls
+# behind (it opens encrypted bodies) takes several messages per call.
+READ_BUFFER = 65536
 
 BARRIER_TAG = 0xFFFFFFFF
 COLLECTIVE_TAG = 0xFFFFFFFE
@@ -136,30 +147,23 @@ def read_roster(path: str) -> list[tuple[str, int]]:
     return [entries[r] for r in range(n)]
 
 
-def write_roster(path: str, roster: list[tuple[str, int]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rank, (host, port) in enumerate(roster):
-            fh.write(f"{rank} {host} {port}\n")
-
-
 class RequestHandle:
     """Completion handle for a non-blocking send or receive.
 
     A receive handle carries a body once complete; a send handle carries
     none.  A handle settles once: the first completion or failure wins,
     and a later one is ignored, so a message that arrived whole is never
-    hidden behind a later error.  ``wait`` is idempotent; waiting on a
+    hidden behind a later error.  An encrypted receive opens its frame as
+    it settles, so once ``done`` its body is the plaintext, or its error
+    is whatever ``open`` raised.  ``wait`` is idempotent; waiting on a
     settled handle returns immediately, and, as with ``Event.wait``, a
     ``timeout`` of zero or less polls: a pending handle raises
-    ``TimeoutError`` at once.  For encrypted receives the first ``wait``
-    opens the received body and replaces it with the plaintext, and only
-    then does ``data`` expose it; concurrent ``wait`` calls open it once.
+    ``TimeoutError`` at once.
     """
 
     # The gate is a bare lock (``threading.Lock``), allocated held and
     # released once, when the handle settles.  A waiter passes through it
-    # (acquire, then release), so any number of waiters return, and holds
-    # it while it opens an encrypted frame.
+    # (acquire, then release), so any number of waiters return.
     __slots__ = ("_gate", "_done", "_error", "_body", "_provider")
 
     def __init__(self, provider: AesGcmProvider | None = None):
@@ -168,46 +172,43 @@ class RequestHandle:
         self._done = False
         self._error: Exception | None = None
         self._body: bytes | None = None
-        self._provider = provider  # set while the body is a sealed frame
+        self._provider = provider  # opens the body as the handle settles
 
     @property
     def done(self) -> bool:
         return self._done
 
     def _settle(self, body: bytes | None = None, error: Exception | None = None) -> None:
-        """Complete the handle with ``body``, or fail it with ``error``.
+        """Complete the handle with ``body``, opened first if the handle
+        has a provider, or fail it with ``error``, or with what ``open``
+        raised.
 
         A send is settled by whoever takes it off its connection's send
         queue (under the connection's lock), a posted receive by whoever
-        takes it off ``_posted`` (under ``_match_lock``), and an arrival
-        by the reader that reads it.  So no two threads settle one handle
-        at once, and this check makes any later settle a no-op."""
+        takes it off ``_posted`` (under ``_match_lock``), an eager arrival
+        by the receive that takes it off ``_inbound``, and a rendezvous
+        arrival by the reader that reads its body.  So no two threads
+        settle one handle at once, and this check makes any later settle a
+        no-op.  A body is only ever settled with no lock held, so ``open``
+        runs under none."""
         if self._done:
             return
+        if body is not None and self._provider is not None:
+            try:
+                body = self._provider.open(body)
+            except Exception as exc:  # a faulty provider fails this handle only
+                body, error = None, exc
         self._body = body
         self._error = error
         self._done = True
         self._gate.release()
 
     def wait(self, timeout: float | None = None) -> None:
-        if not self._done or self._provider is not None:
-            gate = self._gate
-            if timeout is None:
-                gate.acquire()
-            elif not (gate.acquire(True, timeout) if timeout > 0 else gate.acquire(False)):
-                if not self._done:
-                    raise TimeoutError(f"request not complete after {timeout}s")
-                gate.acquire()  # settled; held only until the settler or an opener lets go
-            try:
-                if self._provider is not None:  # the first waiter through opens it
-                    if self._error is None:
-                        try:
-                            self._body = self._provider.open(self._body)
-                        except IntegrityError as exc:
-                            self._error = exc
-                    self._provider = None
-            finally:
-                gate.release()
+        if not self._done:
+            if self._gate.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
+                self._gate.release()
+            elif not self._done:  # else settled, with another waiter in the gate
+                raise TimeoutError(f"request not complete after {timeout}s")
         if self._error is not None:
             raise self._error
 
@@ -219,8 +220,6 @@ class RequestHandle:
             raise self._error
         if self._body is None:
             raise TransportError("send handles carry no data")
-        if self._provider is not None:
-            raise TransportError("encrypted receive not opened; call wait() first")
         return self._body
 
 
@@ -401,7 +400,7 @@ class ProcessGroup:
     def _reader_loop(self, conn: _Conn) -> None:
         # the file holds a reference to the socket's descriptor, which
         # close() therefore releases only once this thread closes the file
-        rfile = conn.sock.makefile("rb")
+        rfile = conn.sock.makefile("rb", buffering=READ_BUFFER)
         rdv: RequestHandle | None = None  # the rendezvous receive being read, if any
         try:
             while True:
@@ -474,16 +473,15 @@ class ProcessGroup:
     ) -> tuple[RequestHandle, bool]:
         """Return ``(handle, True)`` for the oldest receive posted for (src,
         tag), or ``(handle, False)`` for a new handle queued for the next
-        receive to take.  An eager ``body`` completes a queued handle here,
-        so a queued handle that is not done is an RTS (``body`` None)
-        awaiting its CTS."""
+        receive to take.  A queued handle is not settled here: it holds an
+        eager ``body`` as it came, for the receive that takes it to settle
+        (and open), or, with no body, is an RTS awaiting its CTS."""
         key = (src, tag)
         with self._match_lock:
             posted = self._posted.get(key)
             if not posted:
                 handle = RequestHandle()
-                if body is not None:
-                    handle._settle(body)
+                handle._body = body
                 self._inbound.setdefault(key, deque()).append(handle)
                 return handle, False
             handle = posted.popleft()
@@ -568,8 +566,11 @@ class ProcessGroup:
             handle = queue.popleft()
             if not queue:
                 del self._inbound[key]
+        # set before the CTS goes out, so the reader opens the RTS's body
         handle._provider = provider
-        if not handle.done:  # an RTS awaiting CTS; a dead reader fails it
+        if handle._body is not None:  # an eager message, settled in this thread
+            handle._settle(handle._body)
+        elif not handle.done:  # an RTS awaiting CTS; a dead reader fails it
             try:
                 self._send_cts(conn)
             except OSError as exc:

@@ -1,5 +1,6 @@
 """Test helpers shared across test modules: rank groups on threads or
-processes, a padded-frame provider and the bench summary parser.
+processes, a padded-frame provider, the bench summary parser, and the
+roster writer and max-rate residual that only tests use.
 
 A plain module, not ``conftest``, so that a test module's import of it
 cannot resolve to another directory's ``conftest`` when several test
@@ -15,7 +16,7 @@ import time
 import pytest
 
 from secmsg.aead import IntegrityError, create_provider
-from secmsg.transport import ProcessGroup, StartupError, write_roster
+from secmsg.transport import ProcessGroup, StartupError
 
 TEST_KEY = bytes(range(32))
 
@@ -38,6 +39,18 @@ class PaddedFrameProvider:
         if buf[-self.PAD:] != bytes(self.PAD):
             raise IntegrityError("frame padding damaged")
         return self._inner.open(memoryview(buf)[:-self.PAD])
+
+
+def write_roster(path, roster):
+    """Write ``roster`` as ``rank host port`` lines, the format ``read_roster`` parses."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rank, (host, port) in enumerate(roster):
+            fh.write(f"{rank} {host} {port}\n")
+
+
+def maxrate_residual(params, data):
+    """Sum of squared residuals of one max-rate class model over (k, m, latency)."""
+    return sum((params.predict(k, m) - y) ** 2 for k, m, y in data)
 
 
 def free_roster(n):

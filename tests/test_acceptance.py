@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import synth
-from helpers import TEST_KEY, run_cli_ranks, run_ranks, summary_rows
+from helpers import TEST_KEY, maxrate_residual, run_cli_ranks, run_ranks, summary_rows
 from secmsg import benchmarks as bm
 from secmsg import collectives as coll
 from secmsg.aead import FRAME_OVERHEAD, AesGcmProvider, IntegrityError, SecretKey
@@ -27,7 +27,6 @@ from secmsg.models import (
     fit_encdec_line,
     fit_hockney,
     fit_maxrate,
-    maxrate_residual,
     overhead_single_large,
     predict_multipair,
     size_class_for,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,34 @@ def test_key_from_hex_and_repr():
     assert "00" * 16 not in repr(k)
     with pytest.raises(ValueError):
         SecretKey.from_hex("not hex")
+    # the error names the fault, never the text, which is key material
+    with pytest.raises(ValueError, match="position 40") as info:
+        SecretKey.from_hex("ab" * 20 + "Zq" + "cd" * 10)
+    assert "abab" not in str(info.value) and "cdcd" not in str(info.value)
+    with pytest.raises(ValueError, match="3 characters"):
+        SecretKey.from_hex("abc")
+
+
+def test_one_provider_serves_several_threads_at_once(provider):
+    # a process group opens on its reader threads while its caller seals
+    sizes = [1, 1024, 65536, 300_000]
+    start = threading.Barrier(4)
+    failures = []
+
+    def round_trips(offset):
+        start.wait(10)
+        for i in range(120):
+            plaintext = os.urandom(sizes[(i + offset) % len(sizes)])
+            if provider.open(provider.seal(plaintext)) != plaintext:
+                failures.append(len(plaintext))
+
+    threads = [threading.Thread(target=round_trips, args=(t,)) for t in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 def test_backend_registry():

@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 import synth
-from helpers import run_cli_ranks, summary_rows
+from helpers import free_roster, run_cli_ranks, summary_rows, write_roster
 from secmsg.benchmarks import LatencySample, read_samples_csv, write_samples_csv
 from secmsg.cli import main
 from secmsg.models import (
@@ -343,6 +343,17 @@ def test_env_var_overrides_key_flag(tmp_path, monkeypatch):
     monkeypatch.setenv("SECMSG_KEY", "zz-not-hex")
     rc = main(["bench", "encdec", "--sizes", "16", "--key", "00" * 32, "--scale", "0.001"])
     assert rc == 1  # the env var wins and it is invalid
+
+
+def test_bad_key_error_names_the_fault_not_the_key(tmp_path, monkeypatch, capsys):
+    bad = ("00112233445566778899aabbccddeeff" * 2)[:-1] + "Z"
+    roster = str(tmp_path / "roster.txt")
+    write_roster(roster, free_roster(1))
+    monkeypatch.setenv("SECMSG_KEY", bad)
+    assert main(["bench", "pingpong", "--roster", roster, "--rank", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "position 63" in err
+    assert not any(bad[i:i + 8] in err for i in range(len(bad) - 7))
 
 
 def test_mismatched_keys_exit_with_integrity_code(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synth
+from helpers import maxrate_residual
 from secmsg.benchmarks import LatencySample
 from secmsg.models import (
     DEFAULT_THRESHOLD,
@@ -27,7 +28,6 @@ from secmsg.models import (
     fit_maxrate,
     from_json_dict,
     load_params,
-    maxrate_residual,
     mean_latency_by_key,
     overhead_multipair,
     overhead_single_large,

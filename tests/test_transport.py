@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from helpers import TEST_KEY, PaddedFrameProvider, free_roster, run_ranks
+from helpers import TEST_KEY, PaddedFrameProvider, free_roster, run_ranks, write_roster
 from secmsg.aead import FRAME_OVERHEAD, IntegrityError
 from secmsg.transport import (
     HEADER,
@@ -20,7 +20,6 @@ from secmsg.transport import (
     TransportError,
     read_roster,
     waitall,
-    write_roster,
 )
 
 DATA = 7
@@ -743,27 +742,127 @@ def test_plaintext_send_does_leak_on_the_wire():
     assert body in b"".join(captured)
 
 
-def test_encrypted_irecv_decrypts_inside_wait():
-    body = os.urandom(512)
+# the four ways an encrypted message can meet its receive: the receive is
+# posted before the message arrives or after, and the message is eager or
+# rendezvous (sizes on either side of _ARRIVAL_THRESHOLD)
+_ARRIVAL_THRESHOLD = 4096
+_ARRIVALS = [
+    pytest.param(first, size, id=f"{first}-{mode}")
+    for first in ("posted", "arrived")
+    for mode, size in (("eager", 1024), ("rendezvous", 16384))
+]
+NEXT = 9
+
+
+def _encrypted_message(g, first, body):
+    """Rank 0 sends ``body`` encrypted, then ``b"next"`` plain on tag NEXT,
+    to rank 1, which posts its encrypted receive before the message
+    arrives (``first == "posted"``) or after; returns rank 1's handle, and
+    None on rank 0."""
+    if g.rank == 0:
+        if first == "posted":
+            g.recv(1, SYNC)
+        g.encrypted_isend(1, DATA, body)
+        g.isend(1, NEXT, b"next")  # queued behind a rendezvous until its CTS
+        return None
+    if first == "posted":
+        h = g.encrypted_irecv(0, DATA)
+        g.send(0, SYNC, b"")
+        return h
+    _poll_until(lambda: (0, DATA) in g._inbound)
+    return g.encrypted_irecv(0, DATA)
+
+
+@pytest.mark.parametrize("first,size", _ARRIVALS)
+def test_encrypted_receive_is_opened_once_before_it_is_done(first, size):
+    body = os.urandom(size)
 
     def fn(g):
-        if g.rank == 0:
-            g.encrypted_send(1, DATA, body)
-            g.recv(1, SYNC)
-        else:
-            h = g.encrypted_irecv(0, DATA)
-            deadline = time.monotonic() + 10
-            while not h.done and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert h.done
-            with pytest.raises(TransportError):
-                _ = h.data  # frame arrived but has not been opened yet
-            h.wait()
-            assert h.data == body
-            g.send(0, SYNC, b"ok")
-            return True
+        openers = []
+        open_frame = g.provider.open
 
-    assert run_ranks(2, fn)[1] is True
+        def counting_open(frame):
+            openers.append(threading.current_thread().name)
+            return open_frame(frame)
+
+        g.provider.open = counting_open
+        h = _encrypted_message(g, first, body)
+        if h is None:
+            return None
+        _poll_until(lambda: h.done)
+        assert h.data == body  # no wait(): a done handle holds the plaintext
+        h.wait()
+        assert g.recv(0, NEXT) == b"next"
+        return openers
+
+    openers = run_ranks(2, fn, threshold=_ARRIVAL_THRESHOLD, timeout=30)[1]
+    assert len(openers) == 1
+    # opened where the body landed: in the receiving thread for an eager
+    # message already queued when the receive came, else in the reader
+    in_reader = not (first == "arrived" and size < _ARRIVAL_THRESHOLD)
+    assert openers[0].startswith("secmsg-reader-") == in_reader
+
+
+@pytest.mark.parametrize("first,size", _ARRIVALS)
+def test_encrypted_receive_under_a_wrong_key_fails_wait_and_data(first, size):
+    def fn(g):
+        h = _encrypted_message(g, first, os.urandom(size))
+        if h is None:
+            return None
+        with pytest.raises(IntegrityError):
+            h.wait(timeout=10)
+        with pytest.raises(IntegrityError):
+            _ = h.data
+        return g.recv(0, NEXT)
+
+    keys = [TEST_KEY, bytes(32)]
+    assert run_ranks(2, fn, threshold=_ARRIVAL_THRESHOLD, keys=keys, timeout=30)[1] == b"next"
+
+
+@pytest.mark.parametrize("first,size", _ARRIVALS)
+def test_open_runs_under_no_lock_of_the_group(first, size):
+    body = os.urandom(size)
+
+    def fn(g):
+        if g.rank == 1:
+            open_frame = g.provider.open
+            locks = {"matching lock": g._match_lock, "connection lock": g._conns[0].lock}
+
+            def lock_probing_open(frame):
+                # both locks are non-reentrant: one the opener holds times out
+                for name, lock in locks.items():
+                    assert lock.acquire(timeout=1), f"open ran under the {name}"
+                    lock.release()
+                return open_frame(frame)
+
+            g.provider.open = lock_probing_open
+        h = _encrypted_message(g, first, body)
+        if h is None:
+            return None
+        h.wait(timeout=10)
+        return h.data
+
+    assert run_ranks(2, fn, threshold=_ARRIVAL_THRESHOLD, timeout=30)[1] == body
+
+
+@pytest.mark.parametrize("first,size", _ARRIVALS)
+def test_a_faulty_open_fails_its_receive_and_spares_the_reader(first, size):
+    def fn(g):
+        if g.rank == 1:
+            def faulty_open(frame):
+                raise RuntimeError("faulty provider")
+
+            g.provider.open = faulty_open
+        h = _encrypted_message(g, first, os.urandom(size))
+        if h is None:
+            return None
+        with pytest.raises(RuntimeError, match="faulty provider"):
+            h.wait(timeout=10)
+        following = g.irecv(0, NEXT)  # the same connection still delivers
+        following.wait(timeout=10)
+        return following.data
+
+    assert run_ranks(2, fn, threshold=_ARRIVAL_THRESHOLD, timeout=30)[1] == b"next"
 
 
 def test_concurrent_waits_open_an_encrypted_receive_once():
