@@ -94,8 +94,8 @@ class LatencySample:
             raise ValueError("message_size must be >= 0")
         if self.k_pairs < 1:
             raise ValueError("k_pairs must be >= 1")
-        if self.latency_us <= 0:
-            raise ValueError("latency must be positive")
+        if not 0 < self.latency_us < math.inf:
+            raise ValueError("latency must be positive and finite")
 
 
 @dataclass(frozen=True)

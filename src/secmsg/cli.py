@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import sys
 from functools import partial
@@ -204,6 +205,8 @@ BENCH_POINTS = {
 
 
 def cmd_bench(args) -> int:
+    if not 0 < args.scale < math.inf:
+        raise UsageError(f"--scale must be a positive number, got {args.scale}")
     local = args.kind == "encdec"
     policy = _stop_policy(args, min_runs=benchmarks.ENCDEC_STOP_POLICY.min_runs if local else None)
     group = contextlib.nullcontext() if local else _open_group(args, encrypted=not args.plaintext)

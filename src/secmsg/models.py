@@ -11,8 +11,9 @@ All models are in µs and bytes.  Two of them are straight lines
 
 The third is a multi-worker encryption model
 ``T(k, m) = alpha + k*m / (A + B*(k-1))`` with separate (alpha, A, B) per
-message-size class, fitted by bounded nonlinear least squares with
-multiple starting points.
+message-size class, fitted by bounded least squares solved by variable
+projection: for a fixed ratio B/A the model is a line, so the fit is a
+one-variable search over that ratio with a closed-form line at each step.
 
 Each parameter type evaluates itself with ``predict``: ``m`` for a line
 or a phased line, ``(k, m)`` for the multi-worker model.  The encrypted
@@ -34,11 +35,10 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import statistics
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .benchmarks import LatencySample
 from .transport import DEFAULT_THRESHOLD
@@ -81,8 +81,8 @@ class HockneyParams:
     beta_us_per_byte: float
 
     def __post_init__(self) -> None:
-        if self.alpha_us < 0 or self.beta_us_per_byte < 0:
-            raise ValueError("alpha and beta must be nonnegative")
+        if not (0 <= self.alpha_us < math.inf and 0 <= self.beta_us_per_byte < math.inf):
+            raise ValueError("alpha and beta must be finite and nonnegative")
 
     def predict(self, m: float) -> float:
         return self.alpha_us + self.beta_us_per_byte * m
@@ -116,12 +116,12 @@ class MaxRateClassParams:
     b_bytes_per_us: float
 
     def __post_init__(self) -> None:
-        if self.alpha_us < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.a_bytes_per_us <= 0:
-            raise ValueError("A must be positive")
-        if self.b_bytes_per_us < 0:
-            raise ValueError("B must be nonnegative")
+        if not 0 <= self.alpha_us < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
+        if not 0 < self.a_bytes_per_us < math.inf:
+            raise ValueError("A must be finite and positive")
+        if not 0 <= self.b_bytes_per_us < math.inf:
+            raise ValueError("B must be finite and nonnegative")
 
     def predict(self, k: int, m: float) -> float:
         rate = self.a_bytes_per_us + self.b_bytes_per_us * (k - 1)
@@ -311,73 +311,78 @@ def predict_pipelined(
     return max(comm.predict(m), enc.predict(m))
 
 
-# -- nonlinear max-rate fit ----------------------------------------------
+# -- multi-worker encryption fit -------------------------------------------
 
-
-def _maxrate_starts(ks: np.ndarray, ms: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
-    ymin = float(ys.min())
-    alphas = [0.0, 0.5 * ymin, ymin]
-    spread = ys - min(0.9 * ymin, ymin - 1e-9)
-    rates = (ks * ms) / np.maximum(spread, 1e-12)
-    lo, hi = max(float(rates.min()) / 4.0, 1e-6), float(rates.max()) * 4.0
-    a_grid = np.geomspace(lo, hi, 6)
-    starts = []
-    for alpha in alphas:
-        for a in a_grid:
-            for b_factor in (0.0, 0.25, 1.0, 4.0):
-                starts.append(np.array([alpha, a, a * b_factor]))
-    return starts
+# candidate ratios B/A: 0 and a log grid over 1e-12..1e12, 20 points per
+# decade; the grid reaches 1e12 because data with B/A = 1e9 fits worse
+# under a 1e8 ceiling
+_RHO_GRID = [0.0] + [10.0 ** (e / 20) for e in range(-240, 241)]
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _fit_maxrate_class(
     data: list[tuple[int, int, float]], label: str
 ) -> MaxRateClassParams:
-    from scipy.optimize import least_squares
+    """Least squares of one size class over alpha >= 0, A > 0, B >= 0.
 
-    ks = np.array([d[0] for d in data], dtype=float)
-    ms = np.array([d[1] for d in data], dtype=float)
-    ys = np.array([d[2] for d in data], dtype=float)
-    if len(set(ks)) < 2 or len(set(ms)) < 2:
+    The objective is the sum of squared residuals of
+    ``alpha + k*m / (A + B*(k-1))``, solved by variable projection: for a
+    fixed ratio rho = B/A the model is the line ``alpha + x/A`` in
+    ``x = k*m / (1 + rho*(k-1))``, fitted in closed form (with alpha
+    pinned at 0 when its intercept comes out negative).  rho is searched
+    on a log grid and refined by golden section between the best grid
+    point's neighbours.
+    """
+    if len({k for k, _, _ in data}) < 2 or len({m for _, m, _ in data}) < 2:
         raise FitError(
             f"{label} class needs at least 2 distinct worker counts and 2 distinct sizes"
         )
+    ys = [y for _, _, y in data]
 
-    def residuals(p: np.ndarray) -> np.ndarray:
-        alpha, a, b = p
-        return alpha + ks * ms / (a + b * (ks - 1.0)) - ys
+    def line(rho: float) -> tuple[float, float, float]:
+        """(cost, alpha, slope) of the best line at ratio rho; inf unless it rises."""
+        xs = [k * m / (1.0 + rho * (k - 1)) for k, m, _ in data]
+        if len(set(xs)) < 2:
+            return math.inf, 0.0, 0.0
+        alpha, slope = _ols_line(xs, ys)
+        if alpha < 0:
+            alpha, slope = 0.0, _slope_with_fixed_intercept(xs, ys, 0.0)
+        if slope <= 0:
+            return math.inf, alpha, slope
+        return sum((alpha + slope * x - y) ** 2 for x, y in zip(xs, ys)), alpha, slope
 
-    lower = np.array([0.0, 1e-9, 0.0])
-    upper = np.array([np.inf, np.inf, np.inf])
-    best = None
-    for start in _maxrate_starts(ks, ms, ys):
-        x0 = np.clip(start, lower, upper)
-        try:
-            sol = least_squares(
-                residuals,
-                x0,
-                bounds=(lower, upper),
-                method="trf",
-                xtol=1e-13,
-                ftol=1e-13,
-                gtol=1e-13,
-                max_nfev=2000,
-            )
-        except Exception:
-            continue
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None:
-        raise FitError(f"{label} class fit did not converge from any starting point")
-    alpha, a, b = (float(v) for v in best.x)
-    return MaxRateClassParams(alpha_us=alpha, a_bytes_per_us=a, b_bytes_per_us=b)
+    tried = [(line(rho)[0], rho) for rho in _RHO_GRID]
+    best = min(range(len(tried)), key=lambda i: tried[i][0])
+    # constant latency can still leave a rounding-level rising slope
+    if tried[best][0] == math.inf or len(set(ys)) < 2:
+        raise FitError(f"{label} class latency does not grow with k*m")
+    lo, hi = _RHO_GRID[max(best - 1, 0)], _RHO_GRID[min(best + 1, len(_RHO_GRID) - 1)]
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = line(c)[0], line(d)[0]
+    while hi - lo > 1e-12 * hi:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = line(c)[0]
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            fd = line(d)[0]
+    _, rho = min(tried[best], (fc, c), (fd, d))
+    _, alpha, slope = line(rho)
+    a = 1.0 / slope
+    return MaxRateClassParams(alpha_us=alpha, a_bytes_per_us=a, b_bytes_per_us=rho * a)
 
 
 def fit_maxrate(samples: Iterable[LatencySample]) -> MaxRateParams:
     """Fit (alpha, A, B) per size class by bounded least squares.
 
+    The bounds are alpha >= 0, A > 0, B >= 0, and the least-squares
+    problem is solved by variable projection (``_fit_maxrate_class``).
     Samples carry the worker count in ``k_pairs``.  Every class must be
     covered with at least two distinct worker counts and two distinct
-    sizes, otherwise the deficient class is named in the error.
+    sizes, otherwise the deficient class is named in the error; so is a
+    class whose latency does not grow with ``k*m``.
     """
     grouped: dict[SizeClass, list[tuple[int, int, float]]] = {c: [] for c in SizeClass}
     for s in samples:

@@ -66,8 +66,9 @@ body is read straight into the ``bytes`` object the receive returns.
 snapshot, so, as with ``MPI_Isend``, a mutable buffer must not be
 modified until the send's ``wait()`` returns.
 
-Tags are free-form u32 values; tags at and above 0xFFFFFFF0 are reserved
-for internal use (barrier, collectives).
+Tags are free-form u32 values; a send or receive posted with a tag outside
+[0, 0xFFFFFFFF] raises ``ValueError``.  Tags at and above 0xFFFFFFF0 are
+reserved for internal use (barrier, collectives).
 """
 
 from __future__ import annotations
@@ -117,6 +118,12 @@ class ConnectionLost(TransportError):
 def _byte_sized(body) -> bytes | bytearray | memoryview:
     """``body`` itself, or a byte-format view of it, so ``len`` counts bytes."""
     return body if isinstance(body, (bytes, bytearray)) else memoryview(body).cast("B")
+
+
+def _check_tag(tag: int) -> None:
+    """Reject a tag that the header's u32 field cannot carry."""
+    if not 0 <= tag <= 0xFFFFFFFF:
+        raise ValueError(f"tag {tag} outside [0, 0xFFFFFFFF]")
 
 
 def _time_left(deadline: float) -> float:
@@ -538,6 +545,7 @@ class ProcessGroup:
             raise conn.lost()
         if len(body) > MAX_BODY:
             raise ValueError("message larger than the u32 wire limit")
+        _check_tag(tag)
         handle = RequestHandle()
         mode = MODE_RTS if classify_len >= self.threshold else MODE_EAGER
         try:
@@ -552,6 +560,7 @@ class ProcessGroup:
         conn = self._conn_to(src)
         if self._closing:
             raise conn.lost()
+        _check_tag(tag)
         key = (src, tag)
         with self._match_lock:
             queue = self._inbound.get(key)

@@ -41,6 +41,12 @@ def test_bad_key_hex_is_usage_error(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("scale", ["-3", "0", "nan", "inf"])
+def test_bench_scale_must_be_a_positive_number(capsys, scale):
+    assert main(["bench", "encdec", "--sizes", "64", "--scale", scale]) == 1
+    assert "--scale must be a positive number" in capsys.readouterr().err
+
+
 def test_missing_roster_is_usage_error(tmp_path, capsys):
     rc = main(
         ["bench", "pingpong", "--roster", str(tmp_path / "none.txt"), "--rank", "0"]
@@ -225,7 +231,7 @@ def test_predict_requires_sections(tmp_path, capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("row", ["1024,1,0", "1024,1,0,abc", "-1,1,0,2.5"])
+@pytest.mark.parametrize("row", ["1024,1,0", "1024,1,0,abc", "-1,1,0,2.5", "1024,1,0,nan", "1024,1,0,inf"])
 def test_malformed_samples_csv_is_error_not_traceback(tmp_path, capsys, row):
     path = tmp_path / "samples.csv"
     path.write_text(f"size_bytes,k_pairs,run_index,latency_us\n16,1,0,1.5\n{row}\n")
@@ -240,13 +246,17 @@ def test_malformed_samples_csv_is_error_not_traceback(tmp_path, capsys, row):
     {"hockney": {"eager": {"alpha": 1}}},
     {"hockney": {"rendezvous": {"alpha_us": 1.0, "beta_us_per_byte": 1e-4}}},
     {"encdec": {"alpha_us": -1.0, "beta_us_per_byte": 1e-4}},
+    {"encdec": {"alpha_us": float("nan"), "beta_us_per_byte": 1e-4}},
+    {"encdec": {"alpha_us": 1.0, "beta_us_per_byte": float("inf")}},
+    {"maxrate": {"small": {"alpha_us": 1.0, "a_bytes_per_us": float("inf"), "b_bytes_per_us": 0.0}}},
+    {"maxrate": {"small": {"alpha_us": 1.0, "a_bytes_per_us": 10.0, "b_bytes_per_us": float("nan")}}},
 ])
 def test_malformed_parameter_json_is_error_not_traceback(tmp_path, capsys, doc):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(doc))
     assert main(["predict", "--mode", "single", "--params", str(path), "--size", "64"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err, err
+    assert err.startswith("error: ") and f"{path}: bad parameter set" in err, err
 
 
 def test_validate_identity_and_shuffle_independence(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import random
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import synth
 from helpers import maxrate_residual
@@ -351,6 +354,59 @@ def test_fit_maxrate_solver_beats_coarse_grid_oracle():
         ]
         solver_res = maxrate_residual(getattr(fitted, cls), data)
         assert solver_res <= 1.05 * synth.maxrate_grid_residual(data)
+
+
+_maxrate_class = st.builds(
+    lambda alpha, a, b_over_a: MaxRateClassParams(alpha, a, b_over_a * a),
+    st.floats(0.1, 20.0),
+    st.floats(1.0, 5.0).map(lambda e: 10.0 ** e),
+    st.just(0.0) | st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.builds(MaxRateParams, _maxrate_class, _maxrate_class, _maxrate_class))
+# B/A = 1e9: a search over B/A that stops at 1e8 fits this data worse
+@example(MaxRateParams(*(
+    MaxRateClassParams(alpha, a, 1e9 * a) for alpha, a in ((1.0, 500.0), (1.5, 1000.0), (2.0, 1500.0))
+)))
+def test_fit_maxrate_recovers_random_noiseless_parameters(true_params):
+    fitted = fit_maxrate(synth.maxrate_samples(true_params))
+    for cls in ("small", "moderate", "large"):
+        true, got = getattr(true_params, cls), getattr(fitted, cls)
+        assert synth.rel_err(got.alpha_us, true.alpha_us) <= 1e-6
+        assert synth.rel_err(got.a_bytes_per_us, true.a_bytes_per_us) <= 1e-6
+        if true.b_bytes_per_us:
+            assert synth.rel_err(got.b_bytes_per_us, true.b_bytes_per_us) <= 1e-6
+        else:
+            assert got.b_bytes_per_us <= 1e-9 * got.a_bytes_per_us
+
+
+# 0.1 and 3.3 are means that fmean does not return exactly, which leaves a
+# rounding-level slope; 5.0 is one it does
+@pytest.mark.parametrize("latency", [0.1, 3.3, 5.0])
+def test_fit_maxrate_constant_latency_names_the_class(latency):
+    samples = [
+        dataclasses.replace(s, latency_us=latency) if s.message_size <= 256 else s
+        for s in synth.maxrate_samples(MAXRATE_PRESET)
+    ]
+    with pytest.raises(FitError, match="small class latency does not grow"):
+        fit_maxrate(samples)
+
+
+def test_cli_and_maxrate_fit_import_neither_numpy_nor_scipy():
+    script = (
+        "import sys, secmsg.cli\n"
+        "from secmsg.benchmarks import LatencySample\n"
+        "from secmsg.models import MAXRATE_PRESET, fit_maxrate\n"
+        "fit_maxrate([LatencySample(m, k, 0, MAXRATE_PRESET.predict(k, m))\n"
+        "             for k in (1, 2, 4) for m in (16, 64, 512, 4096, 32768, 65536)])\n"
+        "print('numpy' in sys.modules, 'scipy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.split() == ["False", "False"]
 
 
 # -- multipair prediction and overheads ----------------------------------------

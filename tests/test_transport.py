@@ -671,6 +671,20 @@ def test_self_send_and_bad_rank_rejected():
             g.irecv(3, DATA)
 
 
+@pytest.mark.parametrize("op", ["isend", "encrypted_isend", "irecv", "encrypted_irecv"])
+def test_tag_outside_the_u32_header_field_is_rejected(op):
+    def fn(g):
+        if g.rank == 1:
+            return g.recv(0, DATA)
+        body = (b"x",) if op.endswith("isend") else ()
+        for tag in (-1, 2**32):
+            with pytest.raises(ValueError, match="tag"):
+                getattr(g, op)(1, tag, *body)
+        g.send(1, DATA, b"after")
+
+    assert run_ranks(2, fn) == [None, b"after"]
+
+
 # -- encrypted variants ----------------------------------------------------
 
 
