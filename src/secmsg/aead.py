@@ -8,8 +8,9 @@ A provider is any object with ``seal(plaintext)``, which returns the
 frame as the wire body, and ``open(buf) -> bytes``, which takes any
 byte-format buffer and raises ``IntegrityError`` when it is too short
 to be a frame or fails authentication.  One instance must take
-concurrent calls: a process group opens in its reader threads, one per
-peer, while the caller's threads seal and open.  The transport and the
+concurrent calls: a process group opens each received body in the
+thread that reads it, a waiting caller or a connection's reader thread,
+while other threads seal and open.  The transport and the
 collectives need nothing more: neither derives a plaintext length from
 a frame, so a provider whose frames expand by other than 28 bytes works
 with both.

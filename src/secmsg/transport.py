@@ -28,10 +28,25 @@ handle holds an eager body as it came, and the receive that takes it
 completes it; one without a body is an RTS, and the receive that takes it
 sends the CTS.  The handle that a receive returns is the one its message
 completes.  An encrypted receive opens the body as it completes, where
-the body lands: in the reader thread when the receive was posted first
-or the message came by rendezvous, in the receiving thread when an eager
-message came first.  Either way it is done only once it holds the
-plaintext or its error, and ``open`` runs under no lock of the group.
+the body lands: in the receiving thread when an eager message came
+first, else in the thread that reads the body off the connection.
+Either way it is done only once it holds the plaintext or its error,
+and ``open`` runs under no lock of the group.
+
+Each connection is read by whoever holds its read role.  A thread that
+waits without a timeout on a pending handle takes the role and reads
+units itself until its own handle settles, or, while another thread
+reads, sleeps until its handle is done or the role is free; so with one
+caller thread on two ranks no received message crosses threads.  The
+connection's reader thread reads everything else: units no caller waits
+for, and the messages of a timed wait (a blocking read cannot be
+bounded).  Once a caller has read the connection the reader thread stays
+off it for ``READER_PAUSE`` at a time, unless a timed wait rouses it.
+Every connection keeps its own reader thread, and a caller that blocks
+on one connection first rouses the readers of the others that a peer may
+be waiting on (a rendezvous send awaiting its CTS, or a posted receive
+whose RTS may need answering), so a rank blocked on one connection still
+answers an RTS or a CTS on another.
 
 Per connection, sends go out in the order they were posted: at most one
 rendezvous send is in flight at a time, and sends queued behind it drain
@@ -58,10 +73,10 @@ order: a message that arrived whole completes it, and an RTS whose body
 never came is failed, so its ``wait()`` raises ``ConnectionLost``.  Only
 when nothing is queued for it does the receive call itself raise.
 
-The wire path copies no payload it does not have to.  Each connection's
-reader thread reads through a buffered file over the socket: a small
-message costs one ``recv`` for header and body together, and a large
-body is read straight into the ``bytes`` object the receive returns.
+The wire path copies no payload it does not have to.  Each connection is
+read through a buffered file over the socket: a small message costs one
+``recv`` for header and body together, and a large body is read
+straight into the ``bytes`` object the receive returns.
 ``isend`` keeps a reference to the caller's buffer rather than a
 snapshot, so, as with ``MPI_Isend``, a mutable buffer must not be
 modified until the send's ``wait()`` returns.
@@ -96,6 +111,15 @@ DEFAULT_THRESHOLD = 131072  # plaintext bytes; at or above goes rendezvous
 # GIL to the group's other threads; with 64 KiB, a reader that falls
 # behind (it opens encrypted bodies) takes several messages per call.
 READ_BUFFER = 65536
+
+# How long a connection's reader thread stays off the socket once a
+# waiting caller has read it, so that the caller's next wait finds the
+# read role free.  It looks back this often and reads once no caller has
+# read since its last look.  A timed wait rouses it, and so does a caller
+# that blocks on another connection while this one has a rendezvous send
+# awaiting CTS or a posted receive; so the pause delays only units that
+# no thread blocks on, such as an RTS for a receive that is only polled.
+READER_PAUSE = 0.002
 
 BARRIER_TAG = 0xFFFFFFFF
 COLLECTIVE_TAG = 0xFFFFFFFE
@@ -165,21 +189,25 @@ class RequestHandle:
     is whatever ``open`` raised.  ``wait`` is idempotent; waiting on a
     settled handle returns immediately, and, as with ``Event.wait``, a
     ``timeout`` of zero or less polls: a pending handle raises
-    ``TimeoutError`` at once.
+    ``TimeoutError`` at once.  An untimed ``wait`` on a pending handle
+    reads the handle's connection in the calling thread until the handle
+    settles (see ``_Conn.progress``); a timed one passes the gate while
+    the connection's reader thread reads.
     """
 
     # The gate is a bare lock (``threading.Lock``), allocated held and
     # released once, when the handle settles.  A waiter passes through it
     # (acquire, then release), so any number of waiters return.
-    __slots__ = ("_gate", "_done", "_error", "_body", "_provider")
+    __slots__ = ("_gate", "_done", "_error", "_body", "_provider", "_conn")
 
-    def __init__(self, provider: AesGcmProvider | None = None):
+    def __init__(self, provider: AesGcmProvider | None = None, conn: _Conn | None = None):
         self._gate = threading.Lock()
         self._gate.acquire()
         self._done = False
         self._error: Exception | None = None
         self._body: bytes | None = None
         self._provider = provider  # opens the body as the handle settles
+        self._conn = conn  # the connection whose units settle it
 
     @property
     def done(self) -> bool:
@@ -194,10 +222,12 @@ class RequestHandle:
         queue (under the connection's lock), a posted receive by whoever
         takes it off ``_posted`` (under ``_match_lock``), an eager arrival
         by the receive that takes it off ``_inbound``, and a rendezvous
-        arrival by the reader that reads its body.  So no two threads
-        settle one handle at once, and this check makes any later settle a
-        no-op.  A body is only ever settled with no lock held, so ``open``
-        runs under none."""
+        arrival by the thread that reads its body: the thread holding its
+        connection's read role, which is a caller waiting on that
+        connection or else the connection's reader thread.  So no two
+        threads settle one handle at once, and this check makes any later
+        settle a no-op.  A body is only ever settled with no lock of the
+        group held, so ``open`` runs under none."""
         if self._done:
             return
         if body is not None and self._provider is not None:
@@ -211,6 +241,12 @@ class RequestHandle:
         self._gate.release()
 
     def wait(self, timeout: float | None = None) -> None:
+        if not self._done and (conn := self._conn) is not None:
+            conn.rouse_others()
+            if timeout is None:
+                conn.progress(self)
+            else:  # a blocking read cannot be bounded
+                conn.rouse_reader()
         if not self._done:
             if self._gate.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
                 self._gate.release()
@@ -237,7 +273,22 @@ def waitall(handles, timeout: float | None = None) -> None:
 
 
 class _Conn:
-    def __init__(self, peer: int, sock: socket.socket):
+    """One TCP connection of a group: its send queue, and who reads it.
+
+    Whoever holds ``role`` reads the connection, one unit at a time
+    through ``group._read_unit``.  A caller that waits on a handle of
+    this connection without a timeout takes the role if it is free and
+    reads until its own handle settles (the leader); if the role is
+    taken it waits until its handle is done or the role is free (a
+    follower).  So a thread that waits takes its own message off the
+    socket, with no hand-off from another thread.  The connection's
+    reader thread reads the rest: it takes the role only while no caller
+    has led since it last looked, and otherwise stays off the socket for
+    ``READER_PAUSE``, or until a caller that does not read it rouses it.
+    """
+
+    def __init__(self, group: ProcessGroup, peer: int, sock: socket.socket):
+        self.group = group
         self.peer = peer
         self.sock = sock
         self.lock = threading.Lock()
@@ -245,11 +296,24 @@ class _Conn:
         # the head is the rendezvous send whose header is on the wire
         self.out_queue: deque = deque()
         self.awaiting_cts = False
-        self.cts_sent = False  # whether the RTS the reader is on has been answered
+        self.cts_sent = False  # whether the RTS being read has been answered
+        self.posted = 0  # receives posted for this peer, changed under _match_lock
+        self.others: tuple[_Conn, ...] = ()  # the group's other connections
         self.bytes_out = 0
         self.bytes_in = 0
         self.error: TransportError | None = None  # why it died; None while up
         self.reader: threading.Thread | None = None
+        # read side, used only by the holder of ``role``; the buffered file
+        # holds a reference to the socket's descriptor, which close()
+        # therefore releases only once the reader thread closes the file
+        self.role = threading.Lock()
+        self.rfile = None
+        self.rdv: RequestHandle | None = None  # the rendezvous receive being read
+        self.led = False  # a caller read or followed here since the reader thread looked
+        # the handles of callers waiting for the role, changed under ``followed``
+        self.followers: list[RequestHandle] = []
+        self.followed = threading.Condition(threading.Lock())
+        self.wake = threading.Event()  # ends the reader thread's pause early
 
     def write(self, data: bytes) -> None:
         # caller holds self.lock
@@ -260,12 +324,61 @@ class _Conn:
         """A fresh error for a call on this dead connection, naming the cause."""
         return ConnectionLost(f"connection to rank {self.peer} is down: {self.error}")
 
-    def read_exact(self, rfile, n: int) -> bytes:
-        data = rfile.read(n)
+    def read_exact(self, n: int) -> bytes:
+        data = self.rfile.read(n)
         if len(data) < n:
             raise ConnectionLost(f"peer {self.peer} closed the connection")
         self.bytes_in += n
         return data
+
+    def progress(self, handle: RequestHandle) -> None:
+        """Read this connection in the calling thread until ``handle`` is
+        done, or follow the thread that reads it; return early only once
+        the connection is dead, which settles every handle of it."""
+        while not handle._done and self.error is None:
+            if self.role.acquire(blocking=False):
+                try:
+                    while not handle._done and self.error is None:
+                        self.group._read_unit(self)
+                        if self.followers:  # wake those whose handles it settled
+                            with self.followed:
+                                if any(h._done for h in self.followers):
+                                    self.followed.notify_all()
+                finally:
+                    # set before the role is free, so the reader thread
+                    # stays off for a full pause and the next caller leads
+                    self.led = True
+                    self.release_role()
+            else:
+                with self.followed:
+                    self.followers.append(handle)
+                    # release_role reads followers after it frees the role,
+                    # so a holder that misses this handle leaves it free
+                    while not handle._done and self.role.locked():
+                        self.followed.wait()
+                    self.followers.remove(handle)
+
+    def rouse_others(self) -> None:
+        """Before the calling thread blocks on this connection, rouse the
+        reader threads of the others on which a peer may wait for this
+        rank to read: a CTS for a rendezvous send whose header is out, or
+        an RTS for a posted receive."""
+        for other in self.others:
+            if other.awaiting_cts or other.posted:
+                other.rouse_reader()
+
+    def rouse_reader(self) -> None:
+        """Have the reader thread read now, for a caller that does not."""
+        self.led = False
+        if not self.wake.is_set():
+            self.wake.set()
+
+    def release_role(self) -> None:
+        self.role.release()
+        if self.followers:
+            self.led = True  # callers wait here: let the next one read
+            with self.followed:
+                self.followed.notify_all()
 
 
 class ProcessGroup:
@@ -353,6 +466,8 @@ class ProcessGroup:
                 self._add_conn(peer, sock)
 
         for conn in self._conns.values():
+            conn.others = tuple(c for c in self._conns.values() if c is not conn)
+            conn.rfile = conn.sock.makefile("rb", buffering=READ_BUFFER)
             conn.reader = threading.Thread(
                 target=self._reader_loop, args=(conn,),
                 name=f"secmsg-reader-{self.rank}-{conn.peer}", daemon=True,
@@ -390,7 +505,7 @@ class ProcessGroup:
     def _add_conn(self, peer: int, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
-        self._conns[peer] = _Conn(peer, sock)
+        self._conns[peer] = _Conn(self, peer, sock)
 
     # -- properties -----------------------------------------------------
 
@@ -405,48 +520,72 @@ class ProcessGroup:
     # -- inbound engine ---------------------------------------------------
 
     def _reader_loop(self, conn: _Conn) -> None:
-        # the file holds a reference to the socket's descriptor, which
-        # close() therefore releases only once this thread closes the file
-        rfile = conn.sock.makefile("rb", buffering=READ_BUFFER)
-        rdv: RequestHandle | None = None  # the rendezvous receive being read, if any
+        """Read the units of ``conn`` that no waiting caller reads, until
+        the connection dies; then close its file."""
         try:
-            while True:
-                first = conn.read_exact(rfile, 1)
-                if first[0] == MODE_CTS:
-                    self._on_cts(conn)
-                    continue
-                mode, length, tag = HEADER.unpack(first + conn.read_exact(rfile, HEADER.size - 1))
-                if mode == MODE_EAGER:
-                    body = conn.read_exact(rfile, length)
-                    handle, posted = self._match_arrival(conn.peer, tag, body)
-                    if posted:
-                        handle._settle(body)
-                elif mode == MODE_RTS:
-                    if conn.awaiting_cts:
-                        # the peer's CTS for our transfer will arrive where
-                        # this reader expects body bytes: unrecoverable
-                        raise ConnectionLost(
-                            f"rank {self.rank}: peer {conn.peer} announced a rendezvous "
-                            "transfer while ours to it awaits CTS; a connection must not "
-                            "carry rendezvous transfers in both directions at once"
-                        )
-                    # cleared before a receive can see the RTS and answer it
-                    conn.cts_sent = False
-                    rdv, posted = self._match_arrival(conn.peer, tag, None)
-                    if posted:
-                        self._send_cts(conn)
-                    # body bytes only start flowing after our CTS goes out
-                    body = conn.read_exact(rfile, length)
-                    if not conn.cts_sent:
-                        raise ConnectionLost(f"peer {conn.peer} sent a body before CTS")
-                    rdv._settle(body)
-                    rdv = None
+            while conn.error is None:
+                if not conn.led and conn.role.acquire(blocking=False):
+                    conn.wake.clear()  # a rouse is spent once it reads
+                    try:  # until a caller follows, or the connection dies
+                        while conn.error is None and not conn.followers:
+                            self._read_unit(conn)
+                    finally:
+                        conn.release_role()
                 else:
-                    raise ConnectionLost(f"peer {conn.peer} sent unknown mode {mode}")
-        except (ConnectionLost, OSError) as exc:
-            self._on_connection_dead(conn, exc, rdv)
+                    conn.led = False
+                    conn.wake.wait(READER_PAUSE)
+                    conn.wake.clear()
         finally:
-            rfile.close()
+            with conn.role:  # a caller still reading returns once the socket is down
+                conn.rfile.close()
+
+    def _read_unit(self, conn: _Conn) -> None:
+        """Read one unit from ``conn`` and dispatch it; the caller holds
+        ``conn.role``.  A failed read or a protocol violation kills the
+        connection, and so does an interruption part-way through a unit."""
+        first = None
+        try:
+            first = conn.read_exact(1)
+            if first[0] == MODE_CTS:
+                self._on_cts(conn)
+                return
+            mode, length, tag = HEADER.unpack(first + conn.read_exact(HEADER.size - 1))
+            if mode == MODE_EAGER:
+                body = conn.read_exact(length)
+                handle, posted = self._match_arrival(conn, tag, body)
+                if posted:
+                    handle._settle(body)
+            elif mode == MODE_RTS:
+                if conn.awaiting_cts:
+                    # the peer's CTS for our transfer will arrive where
+                    # this read expects body bytes: unrecoverable
+                    raise ConnectionLost(
+                        f"rank {self.rank}: peer {conn.peer} announced a rendezvous "
+                        "transfer while ours to it awaits CTS; a connection must not "
+                        "carry rendezvous transfers in both directions at once"
+                    )
+                # cleared before a receive can see the RTS and answer it
+                conn.cts_sent = False
+                conn.rdv, posted = self._match_arrival(conn, tag, None)
+                if posted:
+                    self._send_cts(conn)
+                # body bytes only start flowing after our CTS goes out
+                body = conn.read_exact(length)
+                if not conn.cts_sent:
+                    raise ConnectionLost(f"peer {conn.peer} sent a body before CTS")
+                conn.rdv._settle(body)
+                conn.rdv = None
+            else:
+                raise ConnectionLost(f"peer {conn.peer} sent unknown mode {mode}")
+        except (ConnectionLost, OSError) as exc:
+            self._on_connection_dead(conn, exc, conn.rdv)
+        except BaseException as exc:
+            # a waiting caller's KeyboardInterrupt, say: before the unit's
+            # first byte the stream is still in step, after it it is not
+            if first is not None:
+                interrupted = ConnectionLost(f"read interrupted: {exc!r}")
+                self._on_connection_dead(conn, interrupted, conn.rdv)
+            raise
 
     def _on_cts(self, conn: _Conn) -> None:
         with conn.lock:
@@ -476,14 +615,14 @@ class ProcessGroup:
                 conn.write(header)
 
     def _match_arrival(
-        self, src: int, tag: int, body: bytes | None
+        self, conn: _Conn, tag: int, body: bytes | None
     ) -> tuple[RequestHandle, bool]:
-        """Return ``(handle, True)`` for the oldest receive posted for (src,
+        """Return ``(handle, True)`` for the oldest receive posted for (peer,
         tag), or ``(handle, False)`` for a new handle queued for the next
         receive to take.  A queued handle is not settled here: it holds an
         eager ``body`` as it came, for the receive that takes it to settle
         (and open), or, with no body, is an RTS awaiting its CTS."""
-        key = (src, tag)
+        key = (conn.peer, tag)
         with self._match_lock:
             posted = self._posted.get(key)
             if not posted:
@@ -494,6 +633,7 @@ class ProcessGroup:
             handle = posted.popleft()
             if not posted:
                 del self._posted[key]
+            conn.posted -= 1
             return handle, True
 
     def _send_cts(self, conn: _Conn) -> None:
@@ -511,6 +651,7 @@ class ProcessGroup:
         ``conn`` and fails all of it."""
         if conn.error is None:
             conn.error = exc if isinstance(exc, TransportError) else ConnectionLost(str(exc))
+        conn.wake.set()  # its reader thread exits now rather than after its pause
         error = conn.error
         try:
             conn.sock.shutdown(socket.SHUT_RDWR)
@@ -529,6 +670,7 @@ class ProcessGroup:
                 for h in handles:
                     h._settle(error=error)
                 del self._posted[(src, _tag)]
+            conn.posted = 0
 
     # -- point-to-point API ----------------------------------------------
 
@@ -539,14 +681,19 @@ class ProcessGroup:
             raise ValueError(f"rank {peer} out of range for group of {self.size}")
         return self._conns[peer]
 
-    def _post_send(self, dest: int, tag: int, body: bytes, classify_len: int) -> RequestHandle:
+    def _send_conn(self, dest: int, tag: int) -> _Conn:
+        """The live connection a send to ``dest`` under ``tag`` goes out on;
+        checked before any work is spent on the body."""
         conn = self._conn_to(dest)
         if conn.error is not None:
             raise conn.lost()
+        _check_tag(tag)
+        return conn
+
+    def _post_send(self, conn: _Conn, tag: int, body: bytes, classify_len: int) -> RequestHandle:
         if len(body) > MAX_BODY:
             raise ValueError("message larger than the u32 wire limit")
-        _check_tag(tag)
-        handle = RequestHandle()
+        handle = RequestHandle(conn=conn)
         mode = MODE_RTS if classify_len >= self.threshold else MODE_EAGER
         try:
             with conn.lock:
@@ -569,23 +716,25 @@ class ProcessGroup:
                 # lock to fail the posted receives, so none is left behind
                 if conn.error is not None:
                     raise conn.lost()
-                handle = RequestHandle(provider)
+                handle = RequestHandle(provider, conn)
                 self._posted.setdefault(key, deque()).append(handle)
+                conn.posted += 1
                 return handle
             handle = queue.popleft()
             if not queue:
                 del self._inbound[key]
-        # set before the CTS goes out, so the reader opens the RTS's body
+        # set before the CTS goes out, so whoever reads the RTS's body opens it
         handle._provider = provider
+        handle._conn = conn
         if handle._body is not None:  # an eager message, settled in this thread
             handle._settle(handle._body)
-        elif not handle.done:  # an RTS awaiting CTS; a dead reader fails it
+        elif not handle.done:  # an RTS awaiting CTS; whoever reads its body settles it
             try:
                 self._send_cts(conn)
             except OSError as exc:
-                # the reader, blocked on this RTS's body, is the one that
-                # settles the handle: it fails it once the socket is shut
-                # down, or has already completed it if the body came whole
+                # the role holder, blocked on this RTS's body, is the one
+                # that settles the handle: it fails it once the socket is
+                # shut down, or has already completed it if the body came whole
                 self._on_connection_dead(conn, exc, None)
         return handle
 
@@ -595,8 +744,9 @@ class ProcessGroup:
         No snapshot is taken: a mutable buffer must stay unmodified until
         ``wait()`` returns.
         """
+        conn = self._send_conn(dest, tag)
         body = _byte_sized(body)
-        return self._post_send(dest, tag, body, classify_len=len(body))
+        return self._post_send(conn, tag, body, classify_len=len(body))
 
     def irecv(self, src: int, tag: int) -> RequestHandle:
         return self._post_recv(src, tag, provider=None)
@@ -617,9 +767,10 @@ class ProcessGroup:
         return self.provider
 
     def encrypted_isend(self, dest: int, tag: int, body: bytes) -> RequestHandle:
+        provider = self._require_provider()
+        conn = self._send_conn(dest, tag)
         body = _byte_sized(body)
-        frame = self._require_provider().seal(body)
-        return self._post_send(dest, tag, frame, classify_len=len(body))
+        return self._post_send(conn, tag, provider.seal(body), classify_len=len(body))
 
     def encrypted_irecv(self, src: int, tag: int) -> RequestHandle:
         return self._post_recv(src, tag, provider=self._require_provider())
@@ -644,7 +795,8 @@ class ProcessGroup:
         while step < self.size:
             dest = (self.rank + step) % self.size
             src = (self.rank - step) % self.size
-            sent = self._post_send(dest, BARRIER_TAG, b"", classify_len=0)
+            conn = self._send_conn(dest, BARRIER_TAG)
+            sent = self._post_send(conn, BARRIER_TAG, b"", classify_len=0)
             for h in (self._post_recv(src, BARRIER_TAG, provider=None), sent):
                 h.wait(None if deadline is None else _time_left(deadline))
             step <<= 1

@@ -71,14 +71,16 @@ def run_ranks(n, fn, *, threshold=131072, keys=None, with_provider=True, timeout
     """Run fn(group) on n threads, one rank each; returns per-rank results.
 
     Any rank's exception fails the test; hung ranks fail it after the
-    timeout.  ``keys`` supplies a per-rank AEAD key (defaults to a shared
-    fixed key).
+    timeout, and so does a reader thread of the groups still alive once
+    every rank has returned, since ``close()`` must stop them all.
+    ``keys`` supplies a per-rank AEAD key (defaults to a shared fixed key).
     """
     last_startup_error = None
     for _ in range(3):  # retry if a reserved port got stolen between bind and use
         roster = free_roster(n)
         results = [None] * n
         errors = []
+        readers = []
 
         def runner(rank):
             provider = None
@@ -89,6 +91,7 @@ def run_ranks(n, fn, *, threshold=131072, keys=None, with_provider=True, timeout
                 with ProcessGroup(
                     rank, roster, provider=provider, threshold=threshold, timeout=30
                 ) as g:
+                    readers.extend(conn.reader for conn in g._conns.values())
                     results[rank] = fn(g)
             except Exception as exc:
                 errors.append((rank, exc))
@@ -106,6 +109,9 @@ def run_ranks(n, fn, *, threshold=131072, keys=None, with_provider=True, timeout
                 f"ranks {hung} did not finish within {timeout}s"
                 + (f"; other ranks failed: {errors!r}" if errors else "")
             )
+        leaked = [t.name for t in readers if t.is_alive()]
+        if leaked:
+            pytest.fail(f"reader threads {leaked} still alive after their groups closed")
         if errors and all(isinstance(e, StartupError) for _, e in errors):
             last_startup_error = errors[0][1]
             continue

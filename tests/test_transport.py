@@ -1128,3 +1128,310 @@ def test_connection_loss_fails_pending_receives():
         t.join(60)
     assert not errors
     assert observed == [True]
+
+
+def test_a_rejected_encrypted_send_seals_nothing():
+    body = os.urandom(1 << 20)
+
+    def fn(g):
+        if g.rank == 1:
+            return g.recv(0, SYNC)  # then leaves, so rank 0's connection dies
+        seals = []
+        seal = g.provider.seal
+
+        def counting_seal(plaintext):
+            seals.append(len(plaintext))
+            return seal(plaintext)
+
+        g.provider.seal = counting_seal
+        rejected = [(1, -1, "tag"), (1, 2**32, "tag"), (0, DATA, "self"), (2, DATA, "range")]
+        for dest, tag, match in rejected:
+            with pytest.raises(ValueError, match=match):
+                g.encrypted_isend(dest, tag, body)
+        g.send(1, SYNC, b"done")
+        _poll_until(lambda: g._conns[1].error is not None)
+        with pytest.raises(ConnectionLost):
+            g.encrypted_isend(1, DATA, body)
+        return seals
+
+    assert run_ranks(2, fn, timeout=30) == [[], b"done"]
+
+
+# -- a waiting thread reads its own connection ---------------------------
+
+
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_a_receive_that_no_thread_waits_on_still_completes(encrypted):
+    # rank 1's waits have just read the connection themselves, so its
+    # reader thread stays off it; then rank 1 only polls a rendezvous
+    # receive, which the reader must still answer and fill
+    body = os.urandom(1 << 20)
+
+    def fn(g):
+        for _ in range(200):
+            if g.rank == 0:
+                g.send(1, SYNC, b"ping")
+                g.recv(1, SYNC)
+            else:
+                g.send(0, SYNC, g.recv(0, SYNC))
+        if g.rank == 0:
+            started = time.monotonic()
+            (g.encrypted_send if encrypted else g.send)(1, DATA, body)
+            return time.monotonic() - started
+        h = (g.encrypted_irecv if encrypted else g.irecv)(0, DATA)
+        _poll_until(lambda: h.done)
+        return h.data
+
+    took, got = run_ranks(2, fn, with_provider=encrypted, timeout=30)
+    assert took < 10
+    assert got == body
+
+
+def test_threads_waiting_on_one_connection_each_return_their_own_message():
+    # four threads of rank 1 wait untimed on one connection: one reads it,
+    # the others follow; rank 0 sends in reverse tag order, eager and
+    # rendezvous mixed, so each leader reads messages its followers wait for
+    threshold = 4096
+    tags = [10, 11, 12, 13]
+    bodies = {tag: os.urandom(size) for tag, size in zip(tags, (100, 20_000, 3000, 50_000))}
+    rounds = 5
+
+    def fn(g):
+        if g.rank == 0:
+            for _ in range(rounds):
+                g.recv(1, SYNC)
+                for tag in reversed(tags):
+                    g.send(1, tag, bodies[tag])
+            return None
+        got = []
+        for _ in range(rounds):
+            handles = {tag: g.irecv(0, tag) for tag in tags}
+            ready = threading.Barrier(len(tags) + 1)
+
+            def waiter(tag):
+                ready.wait(10)
+                handles[tag].wait()
+                got.append((tag, handles[tag].data == bodies[tag]))
+
+            waiters = [threading.Thread(target=waiter, args=(tag,)) for tag in tags]
+            for t in waiters:
+                t.start()
+            ready.wait(10)
+            time.sleep(0.01)  # let the waiters block before anything is sent
+            g.send(0, SYNC, b"")
+            for t in waiters:
+                t.join(20)
+            assert not any(t.is_alive() for t in waiters)
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out races
+    try:
+        got = run_ranks(2, fn, threshold=threshold, with_provider=False, timeout=60)[1]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(got) == sorted((tag, True) for tag in tags for _ in range(rounds))
+
+
+@pytest.mark.parametrize("size", [1024, 16384], ids=["eager", "rendezvous"])
+def test_an_untimed_wait_opens_its_receive_in_the_waiting_thread(size):
+    body = os.urandom(size)
+
+    def fn(g):
+        if g.rank == 0:
+            for _ in range(3):
+                g.recv(1, SYNC)
+                time.sleep(0.005)  # rank 1 waits for the reply, and so reads it
+                g.send(1, SYNC, b"pong")
+            time.sleep(0.05)  # let rank 1 block in wait() first
+            g.encrypted_send(1, DATA, body)
+            return None
+        openers = []
+        open_frame = g.provider.open
+
+        def counting_open(frame):
+            openers.append(threading.current_thread().name)
+            return open_frame(frame)
+
+        g.provider.open = counting_open
+        h = g.encrypted_irecv(0, DATA)
+        for _ in range(3):  # round trips whose waits read the connection
+            g.send(0, SYNC, b"ping")
+            g.recv(0, SYNC)
+        h.wait()
+        return openers, threading.current_thread().name, h.data
+
+    openers, waiter, got = run_ranks(2, fn, threshold=_ARRIVAL_THRESHOLD, timeout=30)[1]
+    assert got == body
+    assert openers == [waiter]
+
+
+def test_a_follower_returns_once_its_message_is_read_while_the_leader_waits_on():
+    # rank 1's main thread reads the connection, waiting for a message
+    # that rank 0 sends only once rank 1's other thread, which waits
+    # behind it, has returned with its own message
+    b_returned = threading.Event()
+
+    def fn(g):
+        if g.rank == 0:
+            g.recv(1, SYNC)
+            time.sleep(0.005)  # rank 1 waits for the reply, so it leads next
+            g.send(1, SYNC, b"pong")
+            time.sleep(0.05)  # let rank 1 lead on tag 1 and follow on tag 2
+            g.send(1, 2, b"b")
+            assert b_returned.wait(10), "the follower did not return"
+            g.send(1, 1, b"a")
+            return None
+        first, second = g.irecv(0, 1), g.irecv(0, 2)
+
+        def follower():
+            time.sleep(0.01)  # the main thread leads by now
+            second.wait()
+            b_returned.set()
+
+        g.send(0, SYNC, b"ping")
+        g.recv(0, SYNC)
+        t = threading.Thread(target=follower)
+        t.start()
+        first.wait()
+        t.join(10)
+        return first.data, second.data
+
+    assert run_ranks(2, fn, with_provider=False, timeout=30)[1] == (b"a", b"b")
+
+
+def test_an_interrupted_read_in_a_waiting_thread_fails_the_connection():
+    class Interrupt(BaseException):
+        pass
+
+    def fn(g):
+        if g.rank == 0:
+            g.recv(1, SYNC)
+            time.sleep(0.005)  # rank 1 waits for the reply, so it leads next
+            g.send(1, SYNC, b"pong")
+            time.sleep(0.05)  # let rank 1 block in wait() first
+            g.send(1, DATA, b"never delivered")
+            return None
+        conn = g._conns[0]
+        waiter = threading.current_thread()
+        rfile = conn.rfile
+        armed = threading.Event()
+
+        class InterruptedFile:
+            """The connection's file, whose first multi-byte read in the
+            waiting thread once armed raises ``Interrupt``."""
+
+            def read(self, n):
+                if n > 1 and armed.is_set() and threading.current_thread() is waiter:
+                    armed.clear()
+                    raise Interrupt
+                return rfile.read(n)
+
+            def close(self):
+                rfile.close()
+
+        h = g.irecv(0, DATA)
+        conn.rfile = InterruptedFile()
+        g.send(0, SYNC, b"ping")
+        g.recv(0, SYNC)
+        armed.set()
+        with pytest.raises(Interrupt):
+            h.wait()
+        assert "read interrupted" in str(conn.error)
+        with pytest.raises(ConnectionLost):
+            h.wait()
+        with pytest.raises(ConnectionLost):
+            g.recv(0, DATA)
+        return True
+
+    assert run_ranks(2, fn, with_provider=False, timeout=30) == [None, True]
+def test_an_interruption_before_a_unit_leaves_the_connection_up():
+    class Interrupt(BaseException):
+        pass
+
+    def fn(g):
+        if g.rank == 0:
+            g.recv(1, SYNC)
+            time.sleep(0.005)  # rank 1 waits for the reply, so it leads next
+            g.send(1, SYNC, b"pong")
+            g.recv(1, SYNC)
+            g.send(1, DATA, b"delivered")
+            return None
+        conn = g._conns[0]
+        waiter = threading.current_thread()
+        rfile = conn.rfile
+        armed = threading.Event()
+
+        class InterruptedFile:
+            """The connection's file, whose next one-byte read in the
+            waiting thread once armed raises ``Interrupt`` before it
+            reads anything."""
+
+            def read(self, n):
+                if n == 1 and armed.is_set() and threading.current_thread() is waiter:
+                    armed.clear()
+                    raise Interrupt
+                return rfile.read(n)
+
+            def close(self):
+                rfile.close()
+
+        h = g.irecv(0, DATA)
+        conn.rfile = InterruptedFile()
+        g.send(0, SYNC, b"ping")
+        g.recv(0, SYNC)
+        armed.set()
+        with pytest.raises(Interrupt):
+            h.wait()
+        assert conn.error is None
+        g.send(0, SYNC, b"go on")
+        h.wait()
+        return h.data
+
+    assert run_ranks(2, fn, with_provider=False, timeout=30) == [None, b"delivered"]
+
+
+@pytest.mark.parametrize("order", ["send-first", "receive-first"])
+def test_a_ring_of_rendezvous_exchanges_does_not_wait_out_the_reader_pause(order, monkeypatch):
+    # each rank of a three-rank ring blocks on one neighbour while the
+    # other waits on it to read a unit from their connection: the CTS for
+    # its send (send-first) or the RTS for its posted receive
+    # (receive-first).  With the reader threads' pause far longer than
+    # the test, the ring moves only if a rank that blocks rouses them.
+    monkeypatch.setattr("secmsg.transport.READER_PAUSE", 3600.0)
+    body = os.urandom(65536)
+    steps = 20
+
+    def fn(g):
+        # first every rank waits on each connection while its peer sleeps,
+        # so the callers read them all and every reader thread pauses
+        for pair in ((0, 1), (1, 2), (0, 2)):
+            if g.rank not in pair:
+                continue
+            peer = pair[1] if g.rank == pair[0] else pair[0]
+            for _ in range(3):
+                if g.rank == pair[0]:
+                    time.sleep(0.005)
+                    g.send(peer, SYNC, b"")
+                    g.recv(peer, SYNC)
+                else:
+                    g.recv(peer, SYNC)
+                    time.sleep(0.005)
+                    g.send(peer, SYNC, b"")
+        right, left = (g.rank + 1) % 3, (g.rank - 1) % 3
+        started = time.monotonic()
+        for _ in range(steps):
+            if order == "send-first":
+                sent = g.isend(right, DATA, body)
+                got = g.recv(left, DATA)
+                sent.wait()
+            else:
+                h = g.irecv(left, DATA)
+                g.send(right, DATA, body)
+                h.wait()
+                got = h.data
+            assert got == body
+        return time.monotonic() - started
+
+    took = run_ranks(3, fn, threshold=4096, with_provider=False, timeout=30)
+    assert max(took) < 10
