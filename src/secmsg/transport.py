@@ -33,20 +33,27 @@ first, else in the thread that reads the body off the connection.
 Either way it is done only once it holds the plaintext or its error,
 and ``open`` runs under no lock of the group.
 
-Each connection is read by whoever holds its read role.  A thread that
-waits without a timeout on a pending handle takes the role and reads
-units itself until its own handle settles, or, while another thread
-reads, sleeps until its handle is done or the role is free; so with one
-caller thread on two ranks no received message crosses threads.  The
-connection's reader thread reads everything else: units no caller waits
-for, and the messages of a timed wait (a blocking read cannot be
-bounded).  Once a caller has read the connection the reader thread stays
-off it for ``READER_PAUSE`` at a time, unless a timed wait rouses it.
-Every connection keeps its own reader thread, and a caller that blocks
-on one connection first rouses the readers of the others that a peer may
-be waiting on (a rendezvous send awaiting its CTS, or a posted receive
-whose RTS may need answering), so a rank blocked on one connection still
-answers an RTS or a CTS on another.
+Each connection is read by whoever holds its read role, and a wait on
+a pending handle goes one of two ways.  An untimed wait that finds the
+role free takes it and reads units itself until its own handle settles,
+so with one caller thread on two ranks no received message crosses
+threads.  Every other wait (a timed one, since a blocking read cannot be
+bounded, or one that finds the role taken) registers its handle on the
+connection, rouses the connection's reader thread and sleeps at its
+gate.  The reader thread reads the rest: units no caller waits for, and
+the messages of registered waits.  When a caller leaves the role, the
+reader thread reads at once if a registered wait is still pending, and
+otherwise stays off the connection for ``READER_PAUSE`` at a time, so
+that the caller's next wait finds the role free.  The cost: threads
+that wait untimed on one connection at once do not take turns reading
+it; the reader thread reads for all but the first, at one thread
+hand-off per message, and a caller that leads while another's wait is
+pending may meet a hand-off too.  In return no wait ever waits out a
+reader pause.  Every connection keeps its own reader thread, and a
+caller that blocks on one connection first rouses the readers of the
+others that a peer may be waiting on (a rendezvous send awaiting its
+CTS, or a posted receive whose RTS may need answering), so a rank
+blocked on one connection still answers an RTS or a CTS on another.
 
 Per connection, sends go out in the order they were posted: at most one
 rendezvous send is in flight at a time, and sends queued behind it drain
@@ -115,7 +122,8 @@ READ_BUFFER = 65536
 # How long a connection's reader thread stays off the socket once a
 # waiting caller has read it, so that the caller's next wait finds the
 # read role free.  It looks back this often and reads once no caller has
-# read since its last look.  A timed wait rouses it, and so does a caller
+# read since its last look.  A wait that does not read rouses it, and so
+# does a caller leaving the role while such a wait is pending, or one
 # that blocks on another connection while this one has a rendezvous send
 # awaiting CTS or a posted receive; so the pause delays only units that
 # no thread blocks on, such as an RTS for a receive that is only polled.
@@ -190,9 +198,10 @@ class RequestHandle:
     settled handle returns immediately, and, as with ``Event.wait``, a
     ``timeout`` of zero or less polls: a pending handle raises
     ``TimeoutError`` at once.  An untimed ``wait`` on a pending handle
-    reads the handle's connection in the calling thread until the handle
-    settles (see ``_Conn.progress``); a timed one passes the gate while
-    the connection's reader thread reads.
+    that finds its connection's read role free reads the connection in
+    the calling thread until the handle settles (see ``_Conn.lead``);
+    any other registers the handle on the connection and passes the gate
+    while the connection's reader thread reads.
     """
 
     # The gate is a bare lock (``threading.Lock``), allocated held and
@@ -241,17 +250,22 @@ class RequestHandle:
         self._gate.release()
 
     def wait(self, timeout: float | None = None) -> None:
-        if not self._done and (conn := self._conn) is not None:
-            conn.rouse_others()
-            if timeout is None:
-                conn.progress(self)
-            else:  # a blocking read cannot be bounded
-                conn.rouse_reader()
         if not self._done:
-            if self._gate.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
-                self._gate.release()
-            elif not self._done:  # else settled, with another waiter in the gate
-                raise TimeoutError(f"request not complete after {timeout}s")
+            conn = self._conn
+            conn.rouse_others()
+            # a blocking read cannot be bounded, so only an untimed wait reads
+            if timeout is None and conn.role.acquire(blocking=False):
+                conn.lead(self)  # it settles the handle, or the connection dies
+            if not self._done:  # the reader thread reads, or the connection's death settles it
+                conn.waiting.append(self)
+                conn.rouse_reader()
+                try:
+                    if self._gate.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
+                        self._gate.release()
+                    elif not self._done:  # else settled, with another waiter in the gate
+                        raise TimeoutError(f"request not complete after {timeout}s")
+                finally:
+                    conn.waiting.remove(self)
         if self._error is not None:
             raise self._error
 
@@ -278,13 +292,15 @@ class _Conn:
     Whoever holds ``role`` reads the connection, one unit at a time
     through ``group._read_unit``.  A caller that waits on a handle of
     this connection without a timeout takes the role if it is free and
-    reads until its own handle settles (the leader); if the role is
-    taken it waits until its handle is done or the role is free (a
-    follower).  So a thread that waits takes its own message off the
-    socket, with no hand-off from another thread.  The connection's
-    reader thread reads the rest: it takes the role only while no caller
-    has led since it last looked, and otherwise stays off the socket for
-    ``READER_PAUSE``, or until a caller that does not read it rouses it.
+    reads until its own handle settles (it leads), so it takes its own
+    message off the socket, with no hand-off from another thread.  Any
+    other wait puts its handle in ``waiting`` and rouses the reader
+    thread, which reads for it.  The reader thread takes the role only
+    while no caller has led since it last looked, or once roused; while
+    a wait is registered it frees the role after every unit, so a caller
+    whose wait it served leads its next one.  ``release_role`` alone
+    decides, as the role is freed, whether the reader thread reads next
+    (a registered wait is pending) or pauses.
     """
 
     def __init__(self, group: ProcessGroup, peer: int, sock: socket.socket):
@@ -309,10 +325,9 @@ class _Conn:
         self.role = threading.Lock()
         self.rfile = None
         self.rdv: RequestHandle | None = None  # the rendezvous receive being read
-        self.led = False  # a caller read or followed here since the reader thread looked
-        # the handles of callers waiting for the role, changed under ``followed``
-        self.followers: list[RequestHandle] = []
-        self.followed = threading.Condition(threading.Lock())
+        self.led = False  # a caller read here since the reader thread looked
+        # the handles of waits that the reader thread reads for
+        self.waiting: list[RequestHandle] = []
         self.wake = threading.Event()  # ends the reader thread's pause early
 
     def write(self, data: bytes) -> None:
@@ -331,32 +346,15 @@ class _Conn:
         self.bytes_in += n
         return data
 
-    def progress(self, handle: RequestHandle) -> None:
-        """Read this connection in the calling thread until ``handle`` is
-        done, or follow the thread that reads it; return early only once
-        the connection is dead, which settles every handle of it."""
-        while not handle._done and self.error is None:
-            if self.role.acquire(blocking=False):
-                try:
-                    while not handle._done and self.error is None:
-                        self.group._read_unit(self)
-                        if self.followers:  # wake those whose handles it settled
-                            with self.followed:
-                                if any(h._done for h in self.followers):
-                                    self.followed.notify_all()
-                finally:
-                    # set before the role is free, so the reader thread
-                    # stays off for a full pause and the next caller leads
-                    self.led = True
-                    self.release_role()
-            else:
-                with self.followed:
-                    self.followers.append(handle)
-                    # release_role reads followers after it frees the role,
-                    # so a holder that misses this handle leaves it free
-                    while not handle._done and self.role.locked():
-                        self.followed.wait()
-                    self.followers.remove(handle)
+    def lead(self, handle: RequestHandle) -> None:
+        """Read this connection in the calling thread, which holds the
+        role, until ``handle`` is done or the connection is dead (which
+        settles every handle of it); then free the role."""
+        try:
+            while not handle._done and self.error is None:
+                self.group._read_unit(self)
+        finally:
+            self.release_role()
 
     def rouse_others(self) -> None:
         """Before the calling thread blocks on this connection, rouse the
@@ -374,11 +372,20 @@ class _Conn:
             self.wake.set()
 
     def release_role(self) -> None:
+        """Free the read role, and with it decide who reads next: the
+        reader thread at once if a registered wait is still pending, else
+        the next caller that waits, the reader thread staying off for a
+        full pause."""
+        # set before ``waiting`` is read, so that a wait registering from
+        # here on, whose rouse clears it, is not overruled
+        self.led = True
+        pending = False
+        if self.waiting:  # a leader with nobody waiting scans nothing
+            self.wake.clear()  # a rouse for a waiter already served is spent
+            pending = any(not h._done for h in tuple(self.waiting))
         self.role.release()
-        if self.followers:
-            self.led = True  # callers wait here: let the next one read
-            with self.followed:
-                self.followed.notify_all()
+        if pending:
+            self.rouse_reader()
 
 
 class ProcessGroup:
@@ -526,9 +533,11 @@ class ProcessGroup:
             while conn.error is None:
                 if not conn.led and conn.role.acquire(blocking=False):
                     conn.wake.clear()  # a rouse is spent once it reads
-                    try:  # until a caller follows, or the connection dies
-                        while conn.error is None and not conn.followers:
+                    try:  # a unit at a time while a caller waits
+                        while conn.error is None:
                             self._read_unit(conn)
+                            if conn.waiting:
+                                break
                     finally:
                         conn.release_role()
                 else:
@@ -626,7 +635,7 @@ class ProcessGroup:
         with self._match_lock:
             posted = self._posted.get(key)
             if not posted:
-                handle = RequestHandle()
+                handle = RequestHandle(conn=conn)
                 handle._body = body
                 self._inbound.setdefault(key, deque()).append(handle)
                 return handle, False
@@ -725,7 +734,6 @@ class ProcessGroup:
                 del self._inbound[key]
         # set before the CTS goes out, so whoever reads the RTS's body opens it
         handle._provider = provider
-        handle._conn = conn
         if handle._body is not None:  # an eager message, settled in this thread
             handle._settle(handle._body)
         elif not handle.done:  # an RTS awaiting CTS; whoever reads its body settles it

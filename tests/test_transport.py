@@ -854,6 +854,7 @@ def test_open_runs_under_no_lock_of_the_group(first, size):
         if h is None:
             return None
         h.wait(timeout=10)
+        assert g.recv(0, NEXT) == b"next"  # rank 0's second send is in before rank 1 closes
         return h.data
 
     assert run_ranks(2, fn, threshold=_ARRIVAL_THRESHOLD, timeout=30)[1] == body
@@ -1300,6 +1301,99 @@ def test_a_follower_returns_once_its_message_is_read_while_the_leader_waits_on()
     assert run_ranks(2, fn, with_provider=False, timeout=30)[1] == (b"a", b"b")
 
 
+def test_a_timed_wait_is_served_once_the_leader_leaves(monkeypatch):
+    # rank 1's reader thread pauses, for longer than the test, once rank
+    # 1's caller has read a round trip.  Then a second thread waits with a
+    # timeout for Y while the main thread waits untimed for X, which comes
+    # first: whoever reads X must leave Y to the reader thread at once.
+    monkeypatch.setattr("secmsg.transport.READER_PAUSE", 3600.0)
+    X, Y = 1, 2
+
+    def fn(g):
+        if g.rank == 0:
+            g.recv(1, SYNC)
+            time.sleep(0.005)  # rank 1 waits for the reply, so it leads
+            g.send(1, SYNC, b"pong")
+            time.sleep(0.05)  # let rank 1 block in both waits first
+            g.send(1, X, b"x")
+            time.sleep(0.05)
+            g.send(1, Y, b"y")
+            return None
+        g.send(0, SYNC, b"ping")
+        g.recv(0, SYNC)
+        late = g.irecv(0, Y)
+        timed_out = []
+
+        def timed_waiter():
+            try:
+                late.wait(timeout=5)
+            except TimeoutError as exc:
+                timed_out.append(exc)
+
+        t = threading.Thread(target=timed_waiter)
+        t.start()
+        time.sleep(0.01)  # the timed wait is in place first
+        first = g.recv(0, X)
+        t.join(10)
+        assert not timed_out, "the timed wait waited out the reader pause"
+        return first, late.data
+
+    assert run_ranks(2, fn, with_provider=False, timeout=30)[1] == (b"x", b"y")
+
+
+def test_timed_and_untimed_waits_on_one_connection_miss_no_rouse(monkeypatch):
+    # four threads of rank 1 wait on one connection, two with a timeout
+    # and two without, for messages that rank 0 sends in reverse tag
+    # order, eager and rendezvous mixed.  With the reader pause far longer
+    # than the test, a wait whose rouse is lost times out or hangs.
+    monkeypatch.setattr("secmsg.transport.READER_PAUSE", 3600.0)
+    threshold = 4096
+    tags = [10, 11, 12, 13]
+    bodies = {tag: os.urandom(size) for tag, size in zip(tags, (100, 20_000, 3000, 50_000))}
+    timeouts = {10: 10.0, 11: None, 12: None, 13: 10.0}
+    rounds = 20
+
+    def fn(g):
+        if g.rank == 0:
+            for _ in range(rounds):
+                g.recv(1, SYNC)
+                for tag in reversed(tags):
+                    g.send(1, tag, bodies[tag])
+            return None
+        got = []
+        for r in range(rounds):
+            handles = {tag: g.irecv(0, tag) for tag in tags}
+            ready = threading.Barrier(len(tags) + 1)
+
+            def waiter(tag):
+                ready.wait(10)
+                try:
+                    handles[tag].wait(timeouts[tag])
+                except TimeoutError:
+                    got.append((tag, "timed out"))
+                else:
+                    got.append((tag, handles[tag].data == bodies[tag]))
+
+            waiters = [threading.Thread(target=waiter, args=(tag,)) for tag in tags]
+            for t in waiters:
+                t.start()
+            ready.wait(10)
+            time.sleep(0.001 * (r % 3))  # the waits are in place, or still arriving
+            g.send(0, SYNC, b"")
+            for t in waiters:
+                t.join(20)
+            assert not any(t.is_alive() for t in waiters)
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out races
+    try:
+        got = run_ranks(2, fn, threshold=threshold, with_provider=False, timeout=120)[1]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(got) == sorted((tag, True) for tag in tags for _ in range(rounds))
+
+
 def test_an_interrupted_read_in_a_waiting_thread_fails_the_connection():
     class Interrupt(BaseException):
         pass
@@ -1435,3 +1529,52 @@ def test_a_ring_of_rendezvous_exchanges_does_not_wait_out_the_reader_pause(order
 
     took = run_ranks(3, fn, threshold=4096, with_provider=False, timeout=30)
     assert max(took) < 10
+
+
+# -- hangs still open (see ROADMAP) ---------------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP direction 5: an eager send queues behind a rendezvous send "
+    "awaiting CTS, and the receiver's reader blocks on that RTS's body",
+)
+def test_a_small_send_is_not_held_behind_an_unmatched_rendezvous_send():
+    # legal in MPI: the receive for SMALL needs no receive for BIG
+    BIG, SMALL = 1, 2
+
+    def fn(g):
+        if g.rank == 0:
+            g.isend(1, BIG, bytes(1 << 20))
+            h = g.isend(1, SMALL, b"small")
+        else:
+            h = g.irecv(0, SMALL)
+        try:
+            h.wait(timeout=5)
+        except TimeoutError:
+            return "timed out"
+        return h.data if g.rank == 1 else "sent"
+
+    assert run_ranks(2, fn, with_provider=False, timeout=30) == ["sent", b"small"]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP direction 2: a graceful close waits on a rendezvous send "
+    "whose CTS never comes",
+)
+def test_a_graceful_close_returns_with_an_unmatched_rendezvous_send():
+    def fn(g):
+        if g.rank == 0:
+            g.isend(1, 1, bytes(1 << 20))
+            started = time.monotonic()
+            g.close()
+            return time.monotonic() - started
+        try:
+            g.irecv(0, 2).wait(timeout=8)
+        except (TimeoutError, ConnectionLost):
+            pass
+        return None
+
+    took = run_ranks(2, fn, with_provider=False, timeout=30)[0]
+    assert took < 5, f"close() returned only after {took:.1f}s, once the peer gave up"
