@@ -308,9 +308,17 @@ def multipair(
 _start_line = None  # set in each encdec_bench pool worker by _encdec_init
 
 
-def _encdec_init(start_line) -> None:
+def _encdec_init(start_line, cpus, next_slot) -> None:
+    """Set up an ``encdec_bench`` pool worker: keep the start line, and
+    pin the worker to the next of ``cpus``, one CPU each, unless that list
+    is empty."""
     global _start_line
     _start_line = start_line
+    if cpus:
+        with next_slot.get_lock():
+            slot = next_slot.value
+            next_slot.value += 1
+        os.sched_setaffinity(0, {cpus[slot]})
 
 
 def _encdec_worker(
@@ -354,10 +362,14 @@ def encdec_bench(
     round is one seal+open on each worker, so the reported latency is
     wall time / iterations.
 
-    Each worker runs its warm-up rounds, waits at a shared start line
-    (with a timeout), and reads ``time.perf_counter()`` right after the
-    line and right after its last round; wall time runs from the earliest
-    start to the latest end, so process start-up and exit are not timed.
+    When this process may run on at least ``threads`` CPUs, each worker
+    is pinned to its own one of them before its warm-up, so that the
+    kernel cannot stack two workers on one CPU; otherwise placement is
+    left to the kernel.  Each worker runs its warm-up rounds, waits at a
+    shared start line (with a timeout), and reads ``time.perf_counter()``
+    right after the line and right after its last round; wall time runs
+    from the earliest start to the latest end, so process start-up and
+    exit are not timed.
     A worker's exception is re-raised here with its own type (an unknown
     ``backend`` raises ``ProviderError``), a worker that dies raises
     ``RuntimeError`` (``BrokenProcessPool``), and every worker process is
@@ -376,8 +388,12 @@ def encdec_bench(
 
     ctx = multiprocessing.get_context("spawn")
     start_line = ctx.Barrier(threads)
+    # one CPU of this process's set per worker, or, with too few, none
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    cpus = cpus if len(cpus) >= threads else []
     with futures.ProcessPoolExecutor(
-        threads, mp_context=ctx, initializer=_encdec_init, initargs=(start_line,)
+        threads, mp_context=ctx, initializer=_encdec_init,
+        initargs=(start_line, cpus, ctx.Value("i", 0)),
     ) as pool:
         runs = [
             pool.submit(_encdec_worker, size, iterations, backend, key_bytes, payload_seed)

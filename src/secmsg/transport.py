@@ -6,8 +6,8 @@ rank as a 4-byte hello; each rank closes its listener once the mesh is
 up.  One deadline, the constructor's ``timeout``, bounds every wait of
 start-up, the implicit barrier's included, and any failure to come up
 raises ``StartupError``.
-Every wire unit leads with its mode byte, and the reader dispatches on
-the first byte it reads.  A message starts with a 12-byte little-endian
+Every wire unit leads with its mode byte, and the receiver dispatches on
+that first byte.  A message starts with a 12-byte little-endian
 header ``[u8 mode][3 zero bytes][u32 body_length][u32 tag]``.  Messages
 whose payload classifies below the configured threshold are sent eagerly
 (header and body written back to back); larger ones use a rendezvous
@@ -29,46 +29,43 @@ completes it; one without a body is an RTS, and the receive that takes it
 sends the CTS.  The handle that a receive returns is the one its message
 completes.  An encrypted receive opens the body as it completes, where
 the body lands: in the receiving thread when an eager message came
-first, else in the thread that reads the body off the connection.
-Either way it is done only once it holds the plaintext or its error,
-and ``open`` runs under no lock of the group.
+first, else in the thread that drives the progress engine when the body
+comes in.  Either way it is done only once it holds the plaintext or its
+error, and ``open`` runs under neither the matching lock nor a
+connection's lock.
 
-Each connection is read by whoever holds its read role, and a wait on
-a pending handle goes one of two ways.  An untimed wait that finds the
-role free takes it and reads units itself until its own handle settles,
-so with one caller thread on two ranks no received message crosses
-threads.  Every other wait (a timed one, since a blocking read cannot be
-bounded, or one that finds the role taken) registers its handle on the
-connection, rouses the connection's reader thread and sleeps at its
-gate.  The reader thread reads the rest: units no caller waits for, and
-the messages of registered waits.  When a caller leaves the role, the
-reader thread reads at once if a registered wait is still pending, and
-otherwise stays off the connection for ``READER_PAUSE`` at a time, so
-that the caller's next wait finds the role free.  The cost: threads
-that wait untimed on one connection at once do not take turns reading
-it; the reader thread reads for all but the first, at one thread
-hand-off per message, and a caller that leads while another's wait is
-pending may meet a hand-off too.  In return no wait ever waits out a
-reader pause.  Every connection keeps its own reader thread, and a
-caller that blocks on one connection first rouses the readers of the
-others that a peer may be waiting on (a rendezvous send awaiting its
-CTS, or a posted receive whose RTS may need answering), so a rank
-blocked on one connection still answers an RTS or a CTS on another.
+One progress engine per group moves every connection on: one
+``select.poll`` over all of them, a receive buffer per connection, and
+one lock that whoever drives the engine holds.  A wait on a pending
+handle that finds the engine free drives it, timed or not, until its
+own handle settles or its deadline passes; so with one caller thread on
+two ranks no received message crosses threads, and a rank blocked on
+one peer still answers an RTS or a CTS from another, as MPI's progress
+rule asks.  Every other wait parks at its handle's gate while the
+group's progress thread drives for it.  That thread also drives while no
+caller does, but once a caller has driven, it stays off for
+``READER_PAUSE`` at a time, so the caller's next wait finds the engine
+free; a parked wait rouses it at once, and so does a thread that stops
+driving while a parked wait is still pending.  The cost: threads that
+wait at once do not take turns driving; the progress thread drives for
+all but one, at one thread hand-off per message.
 
 Per connection, sends go out in the order they were posted: at most one
 rendezvous send is in flight at a time, and sends queued behind it drain
-once its body is on the wire.  A connection must not carry rendezvous
-transfers in both directions at once, because the receiver reads a
-rendezvous body straight after its RTS header and so cannot see a CTS
-until that body is in.  A rank whose reader sees an RTS while its own
-rendezvous send on that connection still awaits CTS raises
-``ConnectionLost`` and shuts the connection down, so both ranks fail
-with that typed error instead of hanging; ``collectives`` orders its
-pairwise exchanges by rank to stay clear of it.
+once its body is on the wire.  One thread serves every connection, so
+the engine never blocks on a body: after a CTS it writes the rendezvous
+body as the socket takes it, and polls for the socket to take the rest.
+A connection must not carry rendezvous transfers in both directions at
+once, because the receiver takes the bytes after an RTS header as its
+body and so cannot see a CTS until that body is in.  A rank that
+receives an RTS while its own rendezvous send on that connection still
+awaits CTS raises ``ConnectionLost`` and shuts the connection down, so
+both ranks fail with that typed error instead of hanging; ``collectives``
+orders its pairwise exchanges by rank to stay clear of it.
 
 A connection whose read or write fails is shut down, and every send
 queued on it and every receive posted or matched on it fails with
-``ConnectionLost``; the peer's reader then sees EOF and does the same.
+``ConnectionLost``; the peer then reads EOF and does the same.
 ``close()`` is local and waits for no peer: a graceful close lets this
 rank's posted sends settle, then fails every connection the same way, so
 a peer still waiting on the closed rank reads EOF and ``ConnectionLost``.
@@ -80,13 +77,14 @@ order: a message that arrived whole completes it, and an RTS whose body
 never came is failed, so its ``wait()`` raises ``ConnectionLost``.  Only
 when nothing is queued for it does the receive call itself raise.
 
-The wire path copies no payload it does not have to.  Each connection is
-read through a buffered file over the socket: a small message costs one
-``recv`` for header and body together, and a large body is read
-straight into the ``bytes`` object the receive returns.
-``isend`` keeps a reference to the caller's buffer rather than a
-snapshot, so, as with ``MPI_Isend``, a mutable buffer must not be
-modified until the send's ``wait()`` returns.
+The wire path copies no payload it does not have to.  A message that is
+whole in its connection's receive buffer leaves it as one slice, so a
+small message costs one ``recv`` for header and body together, and a
+body longer than what is buffered is received straight into its own
+``bytearray``, which the receive returns.  ``isend`` keeps a reference
+to the caller's buffer rather than a snapshot, so, as with
+``MPI_Isend``, a mutable buffer must not be modified until the send's
+``wait()`` returns.
 
 Tags are free-form u32 values; a send or receive posted with a tag outside
 [0, 0xFFFFFFFF] raises ``ValueError``.  Tags at and above 0xFFFFFFF0 are
@@ -95,6 +93,7 @@ reserved for internal use (barrier, collectives).
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 import threading
@@ -113,26 +112,28 @@ _CTS = bytes([MODE_CTS])
 
 DEFAULT_THRESHOLD = 131072  # plaintext bytes; at or above goes rendezvous
 
-# A reader's receive buffer.  The io default (8 KiB) splits every eager
-# message above it over two or three recv calls, and each call hands the
-# GIL to the group's other threads; with 64 KiB, a reader that falls
-# behind (it opens encrypted bodies) takes several messages per call.
+# A connection's receive buffer.  With 64 KiB, an engine that falls
+# behind (it opens encrypted bodies) takes several messages per recv
+# call, and each call it saves is a hand-off of the interpreter lock.
 READ_BUFFER = 65536
 
-# How long a connection's reader thread stays off the socket once a
-# waiting caller has read it, so that the caller's next wait finds the
-# read role free.  It looks back this often and reads once no caller has
-# read since its last look.  A wait that does not read rouses it, and so
-# does a caller leaving the role while such a wait is pending, or one
-# that blocks on another connection while this one has a rendezvous send
-# awaiting CTS or a posted receive; so the pause delays only units that
-# no thread blocks on, such as an RTS for a receive that is only polled.
+# How long the progress thread stays off the engine once a waiting caller
+# has driven it, so that the caller's next wait finds the engine free.
+# It looks back this often and drives once no caller has driven since
+# its last look.  A wait that parks rouses it, and so does a thread that
+# stops driving while such a wait is pending; so the pause delays only units
+# that no thread waits for, such as an RTS for a receive that is only
+# polled.
 READER_PAUSE = 0.002
 
 BARRIER_TAG = 0xFFFFFFFF
 COLLECTIVE_TAG = 0xFFFFFFFE
 
 MAX_BODY = 0xFFFFFFFF  # a body length must fit the header's u32
+
+_POLLIN = select.POLLIN
+_POLLOUT = select.POLLOUT
+_POLL_READ = select.POLLIN | select.POLLHUP | select.POLLERR | select.POLLNVAL
 
 
 class TransportError(Exception):
@@ -197,11 +198,10 @@ class RequestHandle:
     is whatever ``open`` raised.  ``wait`` is idempotent; waiting on a
     settled handle returns immediately, and, as with ``Event.wait``, a
     ``timeout`` of zero or less polls: a pending handle raises
-    ``TimeoutError`` at once.  An untimed ``wait`` on a pending handle
-    that finds its connection's read role free reads the connection in
-    the calling thread until the handle settles (see ``_Conn.lead``);
-    any other registers the handle on the connection and passes the gate
-    while the connection's reader thread reads.
+    ``TimeoutError`` at once.  A ``wait`` on a pending handle that finds
+    its group's progress engine free drives it in the calling thread
+    until the handle settles or the timeout passes; any other parks at
+    the handle's gate while the group's progress thread drives.
     """
 
     # The gate is a bare lock (``threading.Lock``), allocated held and
@@ -214,7 +214,7 @@ class RequestHandle:
         self._gate.acquire()
         self._done = False
         self._error: Exception | None = None
-        self._body: bytes | None = None
+        self._body: bytes | bytearray | None = None
         self._provider = provider  # opens the body as the handle settles
         self._conn = conn  # the connection whose units settle it
 
@@ -222,7 +222,7 @@ class RequestHandle:
     def done(self) -> bool:
         return self._done
 
-    def _settle(self, body: bytes | None = None, error: Exception | None = None) -> None:
+    def _settle(self, body: bytes | bytearray | None = None, error: Exception | None = None) -> None:
         """Complete the handle with ``body``, opened first if the handle
         has a provider, or fail it with ``error``, or with what ``open``
         raised.
@@ -231,12 +231,11 @@ class RequestHandle:
         queue (under the connection's lock), a posted receive by whoever
         takes it off ``_posted`` (under ``_match_lock``), an eager arrival
         by the receive that takes it off ``_inbound``, and a rendezvous
-        arrival by the thread that reads its body: the thread holding its
-        connection's read role, which is a caller waiting on that
-        connection or else the connection's reader thread.  So no two
-        threads settle one handle at once, and this check makes any later
-        settle a no-op.  A body is only ever settled with no lock of the
-        group held, so ``open`` runs under none."""
+        arrival by the thread that drives the engine when its body comes
+        in.  So no two threads settle one handle at once, and this check
+        makes any later settle a no-op.  A body is only ever settled with
+        neither the matching lock nor a connection's lock held, so
+        ``open`` runs under neither."""
         if self._done:
             return
         if body is not None and self._provider is not None:
@@ -251,26 +250,30 @@ class RequestHandle:
 
     def wait(self, timeout: float | None = None) -> None:
         if not self._done:
-            conn = self._conn
-            conn.rouse_others()
-            # a blocking read cannot be bounded, so only an untimed wait reads
-            if timeout is None and conn.role.acquire(blocking=False):
-                conn.lead(self)  # it settles the handle, or the connection dies
-            if not self._done:  # the reader thread reads, or the connection's death settles it
-                conn.waiting.append(self)
-                conn.rouse_reader()
-                try:
-                    if self._gate.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
-                        self._gate.release()
-                    elif not self._done:  # else settled, with another waiter in the gate
-                        raise TimeoutError(f"request not complete after {timeout}s")
-                finally:
-                    conn.waiting.remove(self)
+            group = self._conn.group
+            deadline = None if timeout is None else time.monotonic() + timeout
+            if group._engine.acquire(blocking=False):
+                group._drive(self, deadline)
+            if not self._done:  # park, while the progress thread drives
+                left = -1 if deadline is None else max(deadline - time.monotonic(), 0)
+                if left:
+                    group._waiting.append(self)
+                    group._rouse()
+                    try:
+                        if self._gate.acquire(timeout=left):
+                            self._gate.release()
+                    finally:
+                        group._waiting.remove(self)
+                if not self._done:  # else settled, with another waiter in the gate
+                    raise TimeoutError(f"request not complete after {timeout}s")
         if self._error is not None:
             raise self._error
 
     @property
-    def data(self) -> bytes:
+    def data(self) -> bytes | bytearray:
+        """The received body.  A plaintext receive may return a
+        ``bytearray`` (a slice of the receive buffer, or the buffer a
+        large body was received into), which the caller owns."""
         if not self._done:
             raise TransportError("request not complete; call wait() first")
         if self._error is not None:
@@ -287,48 +290,39 @@ def waitall(handles, timeout: float | None = None) -> None:
 
 
 class _Conn:
-    """One TCP connection of a group: its send queue, and who reads it.
+    """One TCP connection of a group: its send queue and its receive state.
 
-    Whoever holds ``role`` reads the connection, one unit at a time
-    through ``group._read_unit``.  A caller that waits on a handle of
-    this connection without a timeout takes the role if it is free and
-    reads until its own handle settles (it leads), so it takes its own
-    message off the socket, with no hand-off from another thread.  Any
-    other wait puts its handle in ``waiting`` and rouses the reader
-    thread, which reads for it.  The reader thread takes the role only
-    while no caller has led since it last looked, or once roused; while
-    a wait is registered it frees the role after every unit, so a caller
-    whose wait it served leads its next one.  ``release_role`` alone
-    decides, as the role is freed, whether the reader thread reads next
-    (a registered wait is pending) or pauses.
+    The receive state belongs to whoever drives the group's engine.  The
+    first ``end`` bytes of ``buf`` are received and not yet dispatched:
+    part of a header, or whole units that an exception cut a parse short
+    before.  ``body`` is a body longer than what was buffered, being
+    received straight into its own ``bytearray``.
     """
 
     def __init__(self, group: ProcessGroup, peer: int, sock: socket.socket):
         self.group = group
         self.peer = peer
         self.sock = sock
+        self.fd = sock.fileno()
         self.lock = threading.Lock()
         # (mode, handle, header, body) in posting order; while awaiting_cts
-        # the head is the rendezvous send whose header is on the wire
+        # the head is the rendezvous send whose header is on the wire, and
+        # while unsent is set, the one whose body is going out
         self.out_queue: deque = deque()
         self.awaiting_cts = False
+        self.unsent: memoryview | None = None  # what the socket has not taken of that body
+        self.cts_owed = False  # a CTS to write once that body is out
         self.cts_sent = False  # whether the RTS being read has been answered
-        self.posted = 0  # receives posted for this peer, changed under _match_lock
-        self.others: tuple[_Conn, ...] = ()  # the group's other connections
         self.bytes_out = 0
         self.bytes_in = 0
         self.error: TransportError | None = None  # why it died; None while up
-        self.reader: threading.Thread | None = None
-        # read side, used only by the holder of ``role``; the buffered file
-        # holds a reference to the socket's descriptor, which close()
-        # therefore releases only once the reader thread closes the file
-        self.role = threading.Lock()
-        self.rfile = None
-        self.rdv: RequestHandle | None = None  # the rendezvous receive being read
-        self.led = False  # a caller read here since the reader thread looked
-        # the handles of waits that the reader thread reads for
-        self.waiting: list[RequestHandle] = []
-        self.wake = threading.Event()  # ends the reader thread's pause early
+        self.buf = bytearray(READ_BUFFER)
+        self.view = memoryview(self.buf)
+        self.end = 0
+        self.rdv: RequestHandle | None = None  # the rendezvous receive whose body comes next
+        self.body: bytearray | None = None
+        self.got = 0  # bytes of body received so far
+        self.body_tag: int | None = None  # body's eager tag; None for the body of rdv
 
     def write(self, data: bytes) -> None:
         # caller holds self.lock
@@ -338,54 +332,6 @@ class _Conn:
     def lost(self) -> ConnectionLost:
         """A fresh error for a call on this dead connection, naming the cause."""
         return ConnectionLost(f"connection to rank {self.peer} is down: {self.error}")
-
-    def read_exact(self, n: int) -> bytes:
-        data = self.rfile.read(n)
-        if len(data) < n:
-            raise ConnectionLost(f"peer {self.peer} closed the connection")
-        self.bytes_in += n
-        return data
-
-    def lead(self, handle: RequestHandle) -> None:
-        """Read this connection in the calling thread, which holds the
-        role, until ``handle`` is done or the connection is dead (which
-        settles every handle of it); then free the role."""
-        try:
-            while not handle._done and self.error is None:
-                self.group._read_unit(self)
-        finally:
-            self.release_role()
-
-    def rouse_others(self) -> None:
-        """Before the calling thread blocks on this connection, rouse the
-        reader threads of the others on which a peer may wait for this
-        rank to read: a CTS for a rendezvous send whose header is out, or
-        an RTS for a posted receive."""
-        for other in self.others:
-            if other.awaiting_cts or other.posted:
-                other.rouse_reader()
-
-    def rouse_reader(self) -> None:
-        """Have the reader thread read now, for a caller that does not."""
-        self.led = False
-        if not self.wake.is_set():
-            self.wake.set()
-
-    def release_role(self) -> None:
-        """Free the read role, and with it decide who reads next: the
-        reader thread at once if a registered wait is still pending, else
-        the next caller that waits, the reader thread staying off for a
-        full pause."""
-        # set before ``waiting`` is read, so that a wait registering from
-        # here on, whose rouse clears it, is not overruled
-        self.led = True
-        pending = False
-        if self.waiting:  # a leader with nobody waiting scans nothing
-            self.wake.clear()  # a rouse for a waiter already served is spent
-            pending = any(not h._done for h in tuple(self.waiting))
-        self.role.release()
-        if pending:
-            self.rouse_reader()
 
 
 class ProcessGroup:
@@ -427,6 +373,16 @@ class ProcessGroup:
         self._match_lock = threading.Lock()
         self._posted: dict[tuple[int, int], deque[RequestHandle]] = {}
         self._inbound: dict[tuple[int, int], deque[RequestHandle]] = {}
+
+        # progress engine: whoever holds _engine polls every live connection
+        self._engine = threading.Lock()
+        self._poll = select.poll()
+        self._live: dict[int, _Conn] = {}  # by descriptor, until retired
+        self._unparsed: list[_Conn] = []  # whole units an exception left buffered
+        self._led = False  # a caller drove the engine since the progress thread looked
+        self._waiting: list[RequestHandle] = []  # the handles of parked waits
+        self._wake = threading.Event()  # ends the progress thread's pause early
+        self._progress: threading.Thread | None = None
 
         if n > 1:
             deadline = time.monotonic() + timeout
@@ -472,14 +428,10 @@ class ProcessGroup:
                 expected.discard(peer)
                 self._add_conn(peer, sock)
 
-        for conn in self._conns.values():
-            conn.others = tuple(c for c in self._conns.values() if c is not conn)
-            conn.rfile = conn.sock.makefile("rb", buffering=READ_BUFFER)
-            conn.reader = threading.Thread(
-                target=self._reader_loop, args=(conn,),
-                name=f"secmsg-reader-{self.rank}-{conn.peer}", daemon=True,
-            )
-            conn.reader.start()
+        self._progress = threading.Thread(
+            target=self._progress_loop, name=f"secmsg-progress-{self.rank}", daemon=True
+        )
+        self._progress.start()
 
     def _dial(self, peer: int, deadline: float) -> socket.socket:
         host, port = self._roster[peer]
@@ -512,7 +464,9 @@ class ProcessGroup:
     def _add_conn(self, peer: int, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
-        self._conns[peer] = _Conn(self, peer, sock)
+        conn = self._conns[peer] = _Conn(self, peer, sock)
+        self._live[conn.fd] = conn
+        self._poll.register(conn.fd, _POLLIN)
 
     # -- properties -----------------------------------------------------
 
@@ -524,107 +478,237 @@ class ProcessGroup:
     def bytes_received(self) -> int:
         return sum(c.bytes_in for c in self._conns.values())
 
-    # -- inbound engine ---------------------------------------------------
+    # -- progress engine ----------------------------------------------------
 
-    def _reader_loop(self, conn: _Conn) -> None:
-        """Read the units of ``conn`` that no waiting caller reads, until
-        the connection dies; then close its file."""
+    def _drive(self, handle: RequestHandle, deadline: float | None) -> None:
+        """Drive the engine, which the calling thread holds, until
+        ``handle`` settles or ``deadline`` passes (a zero timeout polls
+        once); then free it."""
         try:
-            while conn.error is None:
-                if not conn.led and conn.role.acquire(blocking=False):
-                    conn.wake.clear()  # a rouse is spent once it reads
-                    try:  # a unit at a time while a caller waits
-                        while conn.error is None:
-                            self._read_unit(conn)
-                            if conn.waiting:
-                                break
-                    finally:
-                        conn.release_role()
-                else:
-                    conn.led = False
-                    conn.wake.wait(READER_PAUSE)
-                    conn.wake.clear()
+            while not handle._done and self._live:
+                self._step(deadline)
+                if deadline is not None and time.monotonic() >= deadline:
+                    break
         finally:
-            with conn.role:  # a caller still reading returns once the socket is down
-                conn.rfile.close()
+            self._release()
 
-    def _read_unit(self, conn: _Conn) -> None:
-        """Read one unit from ``conn`` and dispatch it; the caller holds
-        ``conn.role``.  A failed read or a protocol violation kills the
-        connection, and so does an interruption part-way through a unit."""
-        first = None
-        try:
-            first = conn.read_exact(1)
-            if first[0] == MODE_CTS:
-                self._on_cts(conn)
-                return
-            mode, length, tag = HEADER.unpack(first + conn.read_exact(HEADER.size - 1))
-            if mode == MODE_EAGER:
-                body = conn.read_exact(length)
-                handle, posted = self._match_arrival(conn, tag, body)
-                if posted:
-                    handle._settle(body)
-            elif mode == MODE_RTS:
-                if conn.awaiting_cts:
-                    # the peer's CTS for our transfer will arrive where
-                    # this read expects body bytes: unrecoverable
-                    raise ConnectionLost(
-                        f"rank {self.rank}: peer {conn.peer} announced a rendezvous "
-                        "transfer while ours to it awaits CTS; a connection must not "
-                        "carry rendezvous transfers in both directions at once"
-                    )
-                # cleared before a receive can see the RTS and answer it
-                conn.cts_sent = False
-                conn.rdv, posted = self._match_arrival(conn, tag, None)
-                if posted:
-                    self._send_cts(conn)
-                # body bytes only start flowing after our CTS goes out
-                body = conn.read_exact(length)
-                if not conn.cts_sent:
-                    raise ConnectionLost(f"peer {conn.peer} sent a body before CTS")
-                conn.rdv._settle(body)
-                conn.rdv = None
+    def _progress_loop(self) -> None:
+        """Drive the engine while no caller does, until every connection
+        is retired.  While a parked wait is pending it drives one step at
+        a time, so that a caller whose wait it served drives its next."""
+        while self._live:
+            if not self._led and self._engine.acquire(blocking=False):
+                self._wake.clear()  # a rouse is spent once it drives
+                try:
+                    while self._live:
+                        self._step(None)
+                        if self._waiting:
+                            break
+                finally:
+                    self._release()
             else:
-                raise ConnectionLost(f"peer {conn.peer} sent unknown mode {mode}")
+                self._led = False
+                self._wake.wait(READER_PAUSE)
+                self._wake.clear()
+
+    def _rouse(self) -> None:
+        """Have the progress thread drive now, for a wait that does not."""
+        self._led = False
+        if not self._wake.is_set():
+            self._wake.set()
+
+    def _release(self) -> None:
+        """Free the engine, and with it decide who drives next: the
+        progress thread at once if a parked wait is still pending, else
+        the next caller that waits, the progress thread staying off for
+        a full pause."""
+        # set before ``_waiting`` is read, so that a wait parking from
+        # here on, whose rouse clears it, is not overruled
+        self._led = True
+        pending = False
+        if self._waiting:  # with nobody parked, nothing to scan
+            self._wake.clear()  # a rouse for a wait already served is spent
+            pending = any(not h._done for h in tuple(self._waiting))
+        self._engine.release()
+        if pending:
+            self._rouse()
+
+    def _step(self, deadline: float | None) -> None:
+        """Wait until ``deadline`` at most (``None``: without a bound) for
+        connections to be ready, and move each ready one on.  With one
+        live connection and no body going out on it, an unbounded wait
+        has nothing to choose between, so the receive itself waits; that
+        saves the ``poll`` call on every message of a two-rank group."""
+        if self._unparsed:  # whole units that an exception left buffered
+            conn = self._unparsed.pop()
+            if conn.error is None:
+                self._advance(conn, 0)
+            return
+        if deadline is None and len(self._live) == 1:
+            conn = next(iter(self._live.values()))
+            if conn.unsent is None:
+                self._advance(conn, _POLLIN)
+                return
+        ms = None if deadline is None else max(deadline - time.monotonic(), 0) * 1000
+        for fd, events in self._poll.poll(ms):
+            self._advance(self._live[fd], events)
+
+    def _advance(self, conn: _Conn, events: int) -> None:
+        """Move ``conn`` on by the poll ``events`` on it: write what its
+        socket takes of the body in flight, receive what it has and
+        dispatch every whole unit (with no events, only dispatch).  A
+        failed read or write or a protocol violation kills the
+        connection, and a dead one is retired."""
+        try:
+            if events & _POLLOUT:
+                with conn.lock:
+                    self._send_body(conn)
+            if events & _POLL_READ:
+                self._receive(conn)
+            elif not events:
+                self._parse(conn)
         except (ConnectionLost, OSError) as exc:
-            self._on_connection_dead(conn, exc, conn.rdv)
-        except BaseException as exc:
-            # a waiting caller's KeyboardInterrupt, say: before the unit's
-            # first byte the stream is still in step, after it it is not
-            if first is not None:
-                interrupted = ConnectionLost(f"read interrupted: {exc!r}")
-                self._on_connection_dead(conn, interrupted, conn.rdv)
+            self._on_connection_dead(conn, exc)
+        except BaseException:  # a caller's KeyboardInterrupt, say
+            self._unparsed.append(conn)
             raise
+        if conn.error is not None:
+            self._retire(conn)
+
+    def _receive(self, conn: _Conn) -> None:
+        """Receive what ``conn`` has: into the body being received, or
+        into the buffer, whose whole units are then dispatched."""
+        body = conn.body
+        n = conn.sock.recv_into(conn.view[conn.end:] if body is None else memoryview(body)[conn.got:])
+        if not n:
+            raise ConnectionLost(f"peer {conn.peer} closed the connection")
+        conn.bytes_in += n
+        if body is None:
+            conn.end += n
+            self._parse(conn)
+            return
+        if conn.body_tag is None and not conn.cts_sent:
+            raise ConnectionLost(f"peer {conn.peer} sent a body before CTS")
+        conn.got += n
+        if conn.got == len(body):
+            conn.body = None
+            self._land(conn, conn.body_tag, body)
+
+    def _parse(self, conn: _Conn) -> None:
+        """Dispatch every whole unit in ``conn``'s buffer.  An eager body
+        that is not all there goes on in its own buffer, and so does the
+        body of an RTS; what is left, part of a header, moves to the front."""
+        buf, end = conn.buf, conn.end
+        pos = 0
+        try:
+            while pos < end:
+                if buf[pos] == MODE_CTS:
+                    pos += 1
+                    self._on_cts(conn)
+                    continue
+                if end - pos < HEADER.size:
+                    break
+                mode, length, tag = HEADER.unpack_from(buf, pos)
+                pos += HEADER.size
+                if mode == MODE_RTS:
+                    self._on_rts(conn, tag, length)
+                    if pos < end:  # sent before this rank could answer
+                        raise ConnectionLost(f"peer {conn.peer} sent a body before CTS")
+                    break
+                if mode != MODE_EAGER:
+                    raise ConnectionLost(f"peer {conn.peer} sent unknown mode {mode}")
+                stop = pos + length
+                if stop > end:  # received straight into its own buffer from here on
+                    conn.body = bytearray(length)
+                    conn.body[: end - pos] = conn.view[pos:end]
+                    conn.got, conn.body_tag = end - pos, tag
+                    pos = end
+                    break
+                body = buf[pos:stop]
+                pos = stop
+                self._land(conn, tag, body)
+        finally:
+            conn.end = end - pos
+            if pos and conn.end:
+                buf[: conn.end] = buf[pos:end]
+
+    def _land(self, conn: _Conn, tag: int | None, body: bytearray) -> None:
+        """Dispatch a whole body: an eager message's under ``tag``, or,
+        with ``tag`` None, the body of ``conn.rdv``."""
+        if tag is None:
+            handle, conn.rdv = conn.rdv, None
+        else:
+            handle, posted = self._match_arrival(conn, tag, body)
+            if not posted:
+                return
+        handle._settle(body)
+
+    def _on_rts(self, conn: _Conn, tag: int, length: int) -> None:
+        if conn.awaiting_cts:
+            # the peer's CTS for our transfer will arrive where this
+            # connection expects body bytes: unrecoverable
+            raise ConnectionLost(
+                f"rank {self.rank}: peer {conn.peer} announced a rendezvous "
+                "transfer while ours to it awaits CTS; a connection must not "
+                "carry rendezvous transfers in both directions at once"
+            )
+        # cleared before a receive can see the RTS and answer it
+        conn.cts_sent = False
+        conn.rdv, posted = self._match_arrival(conn, tag, None)
+        if posted:
+            self._send_cts(conn)
+        # nothing but the body may come next: it goes straight into its own buffer
+        conn.body, conn.got, conn.body_tag = bytearray(length), 0, None
 
     def _on_cts(self, conn: _Conn) -> None:
         with conn.lock:
             if not conn.awaiting_cts:
                 raise ConnectionLost(f"peer {conn.peer} sent CTS with no transfer pending")
-            _, handle, _, body = conn.out_queue[0]
-            conn.write(body)
-            conn.out_queue.popleft()
             conn.awaiting_cts = False
-            handle._settle()
-            self._drain_locked(conn)
+            conn.unsent = memoryview(conn.out_queue[0][3])
+            self._send_body(conn)
+
+    def _send_body(self, conn: _Conn) -> None:
+        """Write what the socket takes of the rendezvous body in flight,
+        and poll for it to take more; once the body is out, settle its
+        send and write what waited behind it.  The caller holds
+        ``conn.lock`` and drives the engine."""
+        try:
+            while conn.unsent:
+                n = conn.sock.send(conn.unsent, socket.MSG_DONTWAIT)
+                conn.bytes_out += n
+                conn.unsent = conn.unsent[n:]
+        except BlockingIOError:
+            self._poll.modify(conn.fd, _POLLIN | _POLLOUT)
+            return
+        if conn.unsent is None:  # the connection died, failing the send
+            return
+        self._poll.modify(conn.fd, _POLLIN)
+        conn.unsent = None
+        conn.out_queue.popleft()[1]._settle()
+        if conn.cts_owed:
+            conn.cts_owed = False
+            conn.write(_CTS)
+        self._drain_locked(conn)
 
     def _drain_locked(self, conn: _Conn) -> None:
         # caller holds conn.lock; flush queued sends up to the next
         # rendezvous.  A send leaves the queue only once written, so a
         # failed write leaves it for _on_connection_dead to fail.
-        while conn.out_queue and not conn.awaiting_cts:
+        while conn.out_queue and not conn.awaiting_cts and conn.unsent is None:
             mode, handle, header, body = conn.out_queue[0]
             if mode == MODE_EAGER:
                 conn.write(header + body)
                 conn.out_queue.popleft()
                 handle._settle()
             else:
-                # set before the header leaves, so the reader cannot see
+                # set before the header leaves, so the engine cannot see
                 # the peer's answering RTS without seeing this flag
                 conn.awaiting_cts = True
                 conn.write(header)
 
     def _match_arrival(
-        self, conn: _Conn, tag: int, body: bytes | None
+        self, conn: _Conn, tag: int, body: bytearray | None
     ) -> tuple[RequestHandle, bool]:
         """Return ``(handle, True)`` for the oldest receive posted for (peer,
         tag), or ``(handle, False)`` for a new handle queued for the next
@@ -642,25 +726,22 @@ class ProcessGroup:
             handle = posted.popleft()
             if not posted:
                 del self._posted[key]
-            conn.posted -= 1
             return handle, True
 
     def _send_cts(self, conn: _Conn) -> None:
         with conn.lock:
             conn.cts_sent = True  # before the write, which lets the body come
-            conn.write(_CTS)
+            if conn.unsent is None:
+                conn.write(_CTS)
+            else:  # not into the middle of the body going out
+                conn.cts_owed = True
 
-    def _on_connection_dead(
-        self, conn: _Conn, exc: Exception, rdv: RequestHandle | None
-    ) -> None:
-        """Fail everything still waiting on ``conn``: queued sends, posted
-        receives and ``rdv``, the rendezvous receive whose body was being
-        read, whether or not a receive has taken it yet.  The socket is
-        shut down so the peer's reader sees EOF.  The first cause stays on
-        ``conn`` and fails all of it."""
+    def _on_connection_dead(self, conn: _Conn, exc: Exception) -> None:
+        """Fail the queued sends and posted receives of ``conn``, and shut
+        its socket down, so that the peer reads EOF and this rank's engine
+        retires it.  The first cause stays on ``conn`` and fails all of it."""
         if conn.error is None:
             conn.error = exc if isinstance(exc, TransportError) else ConnectionLost(str(exc))
-        conn.wake.set()  # its reader thread exits now rather than after its pause
         error = conn.error
         try:
             conn.sock.shutdown(socket.SHUT_RDWR)
@@ -668,10 +749,9 @@ class ProcessGroup:
             pass
         with conn.lock:
             conn.awaiting_cts = False
+            conn.unsent = None
             while conn.out_queue:
                 conn.out_queue.popleft()[1]._settle(error=error)
-        if rdv is not None:
-            rdv._settle(error=error)
         with self._match_lock:
             for (src, _tag), handles in list(self._posted.items()):
                 if src != conn.peer:
@@ -679,7 +759,17 @@ class ProcessGroup:
                 for h in handles:
                     h._settle(error=error)
                 del self._posted[(src, _tag)]
-            conn.posted = 0
+
+    def _retire(self, conn: _Conn) -> None:
+        """Stop polling the dead ``conn``, and fail the rendezvous receive
+        whose body it still owed, matched or not."""
+        self._poll.unregister(conn.fd)
+        del self._live[conn.fd]
+        rdv, conn.rdv = conn.rdv, None
+        if rdv is not None:
+            rdv._settle(error=conn.error)
+        if not self._live:
+            self._wake.set()  # the progress thread exits now rather than after its pause
 
     # -- point-to-point API ----------------------------------------------
 
@@ -709,7 +799,7 @@ class ProcessGroup:
                 conn.out_queue.append((mode, handle, HEADER.pack(mode, len(body), tag), body))
                 self._drain_locked(conn)
         except OSError as exc:  # fails this send and everything queued behind it
-            self._on_connection_dead(conn, exc, None)
+            self._on_connection_dead(conn, exc)
         return handle
 
     def _post_recv(self, src: int, tag: int, provider: AesGcmProvider | None) -> RequestHandle:
@@ -727,23 +817,23 @@ class ProcessGroup:
                     raise conn.lost()
                 handle = RequestHandle(provider, conn)
                 self._posted.setdefault(key, deque()).append(handle)
-                conn.posted += 1
                 return handle
             handle = queue.popleft()
             if not queue:
                 del self._inbound[key]
-        # set before the CTS goes out, so whoever reads the RTS's body opens it
+        # set before the CTS goes out, so whoever receives the RTS's body opens it
         handle._provider = provider
         if handle._body is not None:  # an eager message, settled in this thread
             handle._settle(handle._body)
-        elif not handle.done:  # an RTS awaiting CTS; whoever reads its body settles it
+        elif not handle.done:  # an RTS awaiting CTS; whoever receives its body settles it
             try:
                 self._send_cts(conn)
             except OSError as exc:
-                # the role holder, blocked on this RTS's body, is the one
-                # that settles the handle: it fails it once the socket is
-                # shut down, or has already completed it if the body came whole
-                self._on_connection_dead(conn, exc, None)
+                # the engine, which awaits this RTS's body, is the one that
+                # settles the handle: it fails it as it retires the shut
+                # down connection, or has already completed it if the body
+                # came whole
+                self._on_connection_dead(conn, exc)
         return handle
 
     def isend(self, dest: int, tag: int, body: bytes) -> RequestHandle:
@@ -832,14 +922,17 @@ class ProcessGroup:
         self._closing = True
         closed = ConnectionLost(f"rank {self.rank}: the group is closed")
         for conn in self._conns.values():
-            self._on_connection_dead(conn, closed, None)
+            self._on_connection_dead(conn, closed)
+        with self._engine:  # each shut down connection is retired before its descriptor closes
+            while self._live:
+                self._step(None)
+        for conn in self._conns.values():
             try:
                 conn.sock.close()
             except OSError:
                 pass
-        for conn in self._conns.values():
-            if conn.reader is not None and conn.reader.is_alive():
-                conn.reader.join(timeout=2.0)
+        if self._progress is not None:
+            self._progress.join(timeout=2.0)
 
     def __enter__(self) -> "ProcessGroup":
         return self

@@ -7,6 +7,8 @@ cannot resolve to another directory's ``conftest`` when several test
 directories are collected in one run.
 """
 
+import multiprocessing
+import queue
 import socket
 import subprocess
 import sys
@@ -71,8 +73,8 @@ def run_ranks(n, fn, *, threshold=131072, keys=None, with_provider=True, timeout
     """Run fn(group) on n threads, one rank each; returns per-rank results.
 
     Any rank's exception fails the test; hung ranks fail it after the
-    timeout, and so does a reader thread of the groups still alive once
-    every rank has returned, since ``close()`` must stop them all.
+    timeout, and so does a group's progress thread still alive once every
+    rank has returned, since ``close()`` must stop it.
     ``keys`` supplies a per-rank AEAD key (defaults to a shared fixed key).
     """
     last_startup_error = None
@@ -80,7 +82,7 @@ def run_ranks(n, fn, *, threshold=131072, keys=None, with_provider=True, timeout
         roster = free_roster(n)
         results = [None] * n
         errors = []
-        readers = []
+        engines = []
 
         def runner(rank):
             provider = None
@@ -91,7 +93,7 @@ def run_ranks(n, fn, *, threshold=131072, keys=None, with_provider=True, timeout
                 with ProcessGroup(
                     rank, roster, provider=provider, threshold=threshold, timeout=30
                 ) as g:
-                    readers.extend(conn.reader for conn in g._conns.values())
+                    engines.append(g._progress)
                     results[rank] = fn(g)
             except Exception as exc:
                 errors.append((rank, exc))
@@ -109,9 +111,9 @@ def run_ranks(n, fn, *, threshold=131072, keys=None, with_provider=True, timeout
                 f"ranks {hung} did not finish within {timeout}s"
                 + (f"; other ranks failed: {errors!r}" if errors else "")
             )
-        leaked = [t.name for t in readers if t.is_alive()]
+        leaked = [t.name for t in engines if t is not None and t.is_alive()]
         if leaked:
-            pytest.fail(f"reader threads {leaked} still alive after their groups closed")
+            pytest.fail(f"progress threads {leaked} still alive after their groups closed")
         if errors and all(isinstance(e, StartupError) for _, e in errors):
             last_startup_error = errors[0][1]
             continue
@@ -120,6 +122,60 @@ def run_ranks(n, fn, *, threshold=131072, keys=None, with_provider=True, timeout
             raise AssertionError(f"rank {rank} failed: {exc!r}") from exc
         return results
     raise AssertionError(f"group startup kept failing: {last_startup_error!r}")
+
+
+def _process_rank(fn, rank, roster, threshold, with_provider, results):
+    """One rank of ``run_process_ranks``: put ``(rank, fn(group), error)``."""
+    provider = create_provider("aes-gcm", TEST_KEY) if with_provider else None
+    try:
+        with ProcessGroup(rank, roster, provider=provider, threshold=threshold, timeout=30) as g:
+            results.put((rank, fn(g), None))
+    except Exception as exc:
+        results.put((rank, None, exc))
+
+
+def run_process_ranks(n, fn, *, threshold=131072, with_provider=True, timeout=240):
+    """Run fn(group) on n ``spawn`` processes, one rank each; returns per-rank results.
+
+    The ranks share no interpreter lock, so they run in parallel as far as
+    the host's CPUs allow.  ``fn`` must be a module-level function, which
+    each process imports by name.  Any rank's exception fails the test,
+    and so do ranks still running after ``timeout``, which are killed.
+    """
+    ctx = multiprocessing.get_context("spawn")
+    errors = []
+    for _ in range(3):  # retry if a reserved port got stolen between bind and use
+        roster = free_roster(n)
+        results = ctx.Queue()
+        procs = [
+            ctx.Process(target=_process_rank, args=(fn, r, roster, threshold, with_provider, results))
+            for r in range(n)
+        ]
+        for p in procs:
+            p.start()
+        outcome, errors = [None] * n, []
+        deadline = time.monotonic() + timeout
+        try:
+            for _ in range(n):
+                rank, value, error = results.get(timeout=max(0.0, deadline - time.monotonic()))
+                outcome[rank] = value
+                if error is not None:
+                    errors.append((rank, error))
+        except queue.Empty:
+            pytest.fail(f"process ranks did not finish within {timeout}s")
+        finally:
+            for p in procs:
+                p.join(max(0.0, deadline - time.monotonic()))
+                if p.is_alive():
+                    p.kill()
+                    p.join()
+        if errors and all(isinstance(e, StartupError) for _, e in errors):
+            continue
+        if errors:
+            rank, exc = errors[0]
+            raise AssertionError(f"rank {rank} failed: {exc!r}") from exc
+        return outcome
+    raise AssertionError(f"group startup kept failing: {errors[0][1]!r}")
 
 
 def summary_rows(stdout):

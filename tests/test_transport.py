@@ -42,6 +42,19 @@ def test_four_rank_mesh_has_six_connections():
     assert sum(counts) // 2 == 6  # one connection per unordered pair
 
 
+def test_each_rank_runs_one_progress_thread_that_close_stops():
+    def fn(g):
+        g.barrier()  # every rank's group is up
+        mine = [t for t in threading.enumerate()
+                if t.name.startswith("secmsg-") and t.name.split("-")[2] == str(g.rank)]
+        g.barrier()  # and no rank has closed yet
+        return mine
+
+    threads = run_ranks(4, fn, with_provider=False)
+    assert [[t.name for t in ts] for ts in threads] == [[f"secmsg-progress-{r}"] for r in range(4)]
+    assert not any(t.is_alive() for ts in threads for t in ts)
+
+
 def test_duplicate_port_fails_startup():
     roster = free_roster(2)
     blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -812,9 +825,10 @@ def test_encrypted_receive_is_opened_once_before_it_is_done(first, size):
     openers = run_ranks(2, fn, threshold=_ARRIVAL_THRESHOLD, timeout=30)[1]
     assert len(openers) == 1
     # opened where the body landed: in the receiving thread for an eager
-    # message already queued when the receive came, else in the reader
-    in_reader = not (first == "arrived" and size < _ARRIVAL_THRESHOLD)
-    assert openers[0].startswith("secmsg-reader-") == in_reader
+    # message already queued when the receive came, else in the progress
+    # thread, since rank 1 only polls the handle
+    in_engine = not (first == "arrived" and size < _ARRIVAL_THRESHOLD)
+    assert openers[0].startswith("secmsg-progress-") == in_engine
 
 
 @pytest.mark.parametrize("first,size", _ARRIVALS)
@@ -1394,90 +1408,152 @@ def test_timed_and_untimed_waits_on_one_connection_miss_no_rouse(monkeypatch):
     assert sorted(got) == sorted((tag, True) for tag in tags for _ in range(rounds))
 
 
-def test_an_interrupted_read_in_a_waiting_thread_fails_the_connection():
-    class Interrupt(BaseException):
-        pass
+def test_threads_waiting_on_two_connections_each_return_their_own_message(monkeypatch):
+    # eight threads of rank 0 wait, timed and untimed, for messages from
+    # ranks 1 and 2 at once, eager and rendezvous mixed: with two
+    # connections the engine waits in poll, and each wait either drives
+    # it for every thread or sleeps while another thread does.  With the
+    # progress thread's pause far longer than the test, a wait whose
+    # rouse is lost times out or hangs.
+    monkeypatch.setattr("secmsg.transport.READER_PAUSE", 3600.0)
+    sizes = {10: 100, 11: 20_000, 12: 3000, 13: 50_000}
+    timeouts = {10: 10.0, 11: None, 12: None, 13: 10.0}
+    bodies = {(src, tag): os.urandom(size) for src in (1, 2) for tag, size in sizes.items()}
+    rounds = 10
+
+    def fn(g):
+        if g.rank != 0:
+            for _ in range(rounds):
+                g.recv(0, SYNC)
+                for tag in reversed(list(sizes)):
+                    g.send(0, tag, bodies[g.rank, tag])
+            return None
+        got = []
+        for r in range(rounds):
+            handles = {key: g.irecv(*key) for key in bodies}
+            ready = threading.Barrier(len(handles) + 1)
+
+            def waiter(key):
+                ready.wait(10)
+                try:
+                    handles[key].wait(timeouts[key[1]])
+                except TimeoutError:
+                    got.append((key, "timed out"))
+                else:
+                    got.append((key, handles[key].data == bodies[key]))
+
+            waiters = [threading.Thread(target=waiter, args=(key,)) for key in handles]
+            for t in waiters:
+                t.start()
+            ready.wait(10)
+            time.sleep(0.001 * (r % 3))  # the waits are in place, or still arriving
+            g.send(1, SYNC, b"")
+            g.send(2, SYNC, b"")
+            for t in waiters:
+                t.join(20)
+            assert not any(t.is_alive() for t in waiters)
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out races
+    try:
+        got = run_ranks(3, fn, threshold=4096, with_provider=False, timeout=120)[0]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(got) == sorted((key, True) for key in bodies for _ in range(rounds))
+
+
+class Interrupt(BaseException):
+    pass
+
+
+def test_a_read_interrupted_part_way_through_a_unit_leaves_the_connection_up():
+    # rank 1's waiting thread drives the engine, and its socket takes in
+    # part of the message, then is interrupted; the part stays buffered,
+    # so the stream stays in step and the next wait completes the message
+    body = os.urandom(1000)
 
     def fn(g):
         if g.rank == 0:
             g.recv(1, SYNC)
-            time.sleep(0.005)  # rank 1 waits for the reply, so it leads next
+            time.sleep(0.005)  # rank 1 waits for the reply, so it drives next
             g.send(1, SYNC, b"pong")
             time.sleep(0.05)  # let rank 1 block in wait() first
-            g.send(1, DATA, b"never delivered")
+            g.send(1, DATA, body)
             return None
         conn = g._conns[0]
         waiter = threading.current_thread()
-        rfile = conn.rfile
-        armed = threading.Event()
+        armed = []
 
-        class InterruptedFile:
-            """The connection's file, whose first multi-byte read in the
-            waiting thread once armed raises ``Interrupt``."""
+        class PartialReads:
+            """The connection's socket, whose receives in the waiting thread
+            once armed take 100 bytes, then raise ``Interrupt``."""
 
-            def read(self, n):
-                if n > 1 and armed.is_set() and threading.current_thread() is waiter:
-                    armed.clear()
+            def __init__(self, sock):
+                self._sock = sock
+
+            def recv_into(self, buffer, nbytes=0):
+                if armed and threading.current_thread() is waiter:
+                    if armed.pop() == "part":
+                        return self._sock.recv_into(buffer, 100)
                     raise Interrupt
-                return rfile.read(n)
+                return self._sock.recv_into(buffer, nbytes)
 
-            def close(self):
-                rfile.close()
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
 
         h = g.irecv(0, DATA)
-        conn.rfile = InterruptedFile()
+        conn.sock = PartialReads(conn.sock)
         g.send(0, SYNC, b"ping")
         g.recv(0, SYNC)
-        armed.set()
+        armed.extend(["interrupt", "part"])
         with pytest.raises(Interrupt):
             h.wait()
-        assert "read interrupted" in str(conn.error)
-        with pytest.raises(ConnectionLost):
-            h.wait()
-        with pytest.raises(ConnectionLost):
-            g.recv(0, DATA)
-        return True
+        assert not armed and not h.done
+        assert conn.error is None
+        h.wait()
+        return h.data
 
-    assert run_ranks(2, fn, with_provider=False, timeout=30) == [None, True]
+    assert run_ranks(2, fn, with_provider=False, timeout=30) == [None, body]
+
+
 def test_an_interruption_before_a_unit_leaves_the_connection_up():
-    class Interrupt(BaseException):
-        pass
-
+    # rank 1's waiting thread drives the engine, and its poll is
+    # interrupted before any byte of the message is read (the wait is
+    # timed, because a timed wait always waits in poll)
     def fn(g):
         if g.rank == 0:
             g.recv(1, SYNC)
-            time.sleep(0.005)  # rank 1 waits for the reply, so it leads next
+            time.sleep(0.005)  # rank 1 waits for the reply, so it drives next
             g.send(1, SYNC, b"pong")
             g.recv(1, SYNC)
             g.send(1, DATA, b"delivered")
             return None
-        conn = g._conns[0]
         waiter = threading.current_thread()
-        rfile = conn.rfile
+        poll = g._poll
         armed = threading.Event()
 
-        class InterruptedFile:
-            """The connection's file, whose next one-byte read in the
-            waiting thread once armed raises ``Interrupt`` before it
-            reads anything."""
+        class InterruptedPoll:
+            """The engine's poll, whose next poll in the waiting thread
+            once armed raises ``Interrupt``."""
 
-            def read(self, n):
-                if n == 1 and armed.is_set() and threading.current_thread() is waiter:
+            def poll(self, timeout=None):
+                if armed.is_set() and threading.current_thread() is waiter:
                     armed.clear()
                     raise Interrupt
-                return rfile.read(n)
+                return poll.poll(timeout)
 
-            def close(self):
-                rfile.close()
+            def __getattr__(self, name):
+                return getattr(poll, name)
 
         h = g.irecv(0, DATA)
-        conn.rfile = InterruptedFile()
+        g._poll = InterruptedPoll()
         g.send(0, SYNC, b"ping")
         g.recv(0, SYNC)
         armed.set()
         with pytest.raises(Interrupt):
-            h.wait()
-        assert conn.error is None
+            h.wait(timeout=10)
+        assert g._conns[0].error is None
         g.send(0, SYNC, b"go on")
         h.wait()
         return h.data
@@ -1528,6 +1604,31 @@ def test_a_ring_of_rendezvous_exchanges_does_not_wait_out_the_reader_pause(order
         return time.monotonic() - started
 
     took = run_ranks(3, fn, threshold=4096, with_provider=False, timeout=30)
+    assert max(took) < 10
+
+
+def test_a_ring_of_large_rendezvous_bodies_over_small_socket_buffers_never_hangs():
+    # every rank writes a 4 MiB body to its right neighbour while it reads
+    # one from its left.  With 64 KiB socket buffers each body goes out in
+    # many pieces, so a rank that blocked writing its body, and read
+    # nothing meanwhile, would stall its left neighbour, and the ring
+    body = os.urandom(4 << 20)
+
+    def fn(g):
+        for conn in g._conns.values():
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 65536)
+        g.barrier()
+        right, left = (g.rank + 1) % 3, (g.rank - 1) % 3
+        started = time.monotonic()
+        for _ in range(5):
+            sent = g.isend(right, DATA, body)
+            got = g.recv(left, DATA)
+            sent.wait()
+            assert got == body
+        return time.monotonic() - started
+
+    took = run_ranks(3, fn, with_provider=False, timeout=30)
     assert max(took) < 10
 
 
