@@ -9,11 +9,12 @@ frame as the wire body, and ``open(buf) -> bytes``, which takes any
 byte-format buffer and raises ``IntegrityError`` when it is too short
 to be a frame or fails authentication.  One instance must take
 concurrent calls: a process group opens each received body in the
-thread that reads it, a waiting caller or a connection's reader thread,
-while other threads seal and open.  The transport and the
-collectives need nothing more: neither derives a plaintext length from
-a frame, so a provider whose frames expand by other than 28 bytes works
-with both.
+thread that completes its receive (a waiting caller or the group's
+progress thread as it reads the body, or the caller that posts a receive
+for a body already in), while other threads seal and open.  The
+transport and the collectives need nothing more: neither derives a
+plaintext length from a frame, so a provider whose frames expand by
+other than 28 bytes works with both.
 ``create_provider`` builds one by backend name from ``BACKENDS``, which
 holds one entry, ``AesGcmProvider`` (the ``cryptography`` package's
 AES-GCM), until other ciphers are registered beside it.

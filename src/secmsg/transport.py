@@ -48,7 +48,22 @@ caller does, but once a caller has driven, it stays off for
 free; a parked wait rouses it at once, and so does a thread that stops
 driving while a parked wait is still pending.  The cost: threads that
 wait at once do not take turns driving; the progress thread drives for
-all but one, at one thread hand-off per message.
+all but one, and each message it settles for a parked wait is handed off
+to that wait's thread through the handle's gate.
+
+A caller that drives for its own wait first polls every connection
+without blocking, and yields the CPU (``os.sched_yield``) between empty
+polls; it stops at a ready connection, after ``SPIN`` (50 µs), or at its
+deadline, whichever comes first, and only then sleeps in ``poll``, or,
+for an untimed wait on two ranks, in the one connection's ``recv``.  A
+reply that comes within the spin costs no wake-up of a sleeping thread,
+which was about half of a small message's one-way time on loopback.
+The progress thread, ``close()`` and every parked wait never spin, so a
+rank whose callers do not wait burns no CPU.  On a 2-vCPU KVM host,
+1 KiB ping-pong between two process ranks went from a median 21.7 to
+11.6 µs per message when each rank has a CPU of its own, and from 20.1
+to 22.4 µs when both ranks share one CPU, where the yield lets the peer
+run during the spin (without it, 72 µs).
 
 Per connection, sends go out in the order they were posted: at most one
 rendezvous send is in flight at a time, and sends queued behind it drain
@@ -93,6 +108,7 @@ reserved for internal use (barrier, collectives).
 
 from __future__ import annotations
 
+import os
 import select
 import socket
 import struct
@@ -125,6 +141,12 @@ READ_BUFFER = 65536
 # that no thread waits for, such as an RTS for a receive that is only
 # polled.
 READER_PAUSE = 0.002
+
+# How long a caller that drives the engine for its own wait polls without
+# blocking before it sleeps.  A message that comes within the spin costs
+# no wake-up of a sleeping thread; a yield between empty polls lets a
+# peer that shares this CPU run meanwhile.
+SPIN = 50e-6
 
 BARRIER_TAG = 0xFFFFFFFF
 COLLECTIVE_TAG = 0xFFFFFFFE
@@ -486,7 +508,7 @@ class ProcessGroup:
         once); then free it."""
         try:
             while not handle._done and self._live:
-                self._step(deadline)
+                self._step(deadline, spin=True)
                 if deadline is not None and time.monotonic() >= deadline:
                     break
         finally:
@@ -533,24 +555,40 @@ class ProcessGroup:
         if pending:
             self._rouse()
 
-    def _step(self, deadline: float | None) -> None:
+    def _step(self, deadline: float | None, spin: bool = False) -> None:
         """Wait until ``deadline`` at most (``None``: without a bound) for
-        connections to be ready, and move each ready one on.  With one
-        live connection and no body going out on it, an unbounded wait
-        has nothing to choose between, so the receive itself waits; that
-        saves the ``poll`` call on every message of a two-rank group."""
+        connections to be ready, and move each ready one on.  With
+        ``spin``, which only a caller's ``_drive`` sets, first poll without
+        blocking for ``SPIN`` at most, yielding the CPU between empty
+        polls; a spin that reaches ``deadline`` ends the step there.  Then
+        sleep: with one live connection and no body going out on it, an
+        unbounded wait has nothing to choose between, so the receive
+        itself waits; that saves the ``poll`` call on every message of a
+        two-rank group."""
         if self._unparsed:  # whole units that an exception left buffered
             conn = self._unparsed.pop()
             if conn.error is None:
                 self._advance(conn, 0)
             return
-        if deadline is None and len(self._live) == 1:
-            conn = next(iter(self._live.values()))
-            if conn.unsent is None:
-                self._advance(conn, _POLLIN)
-                return
-        ms = None if deadline is None else max(deadline - time.monotonic(), 0) * 1000
-        for fd, events in self._poll.poll(ms):
+        ready = []
+        if spin:
+            stop = time.monotonic() + SPIN
+            while not (ready := self._poll.poll(0)):
+                now = time.monotonic()
+                if deadline is not None and now >= deadline:
+                    return
+                if now >= stop:
+                    break
+                os.sched_yield()
+        if not ready:
+            if deadline is None and len(self._live) == 1:
+                conn = next(iter(self._live.values()))
+                if conn.unsent is None:
+                    self._advance(conn, _POLLIN)
+                    return
+            ms = None if deadline is None else max(deadline - time.monotonic(), 0) * 1000
+            ready = self._poll.poll(ms)
+        for fd, events in ready:
             self._advance(self._live[fd], events)
 
     def _advance(self, conn: _Conn, events: int) -> None:

@@ -1,5 +1,6 @@
 import array
 import os
+import resource
 import socket
 import sys
 import threading
@@ -7,8 +8,16 @@ import time
 
 import pytest
 
-from helpers import TEST_KEY, PaddedFrameProvider, free_roster, run_ranks, write_roster
+from helpers import (
+    TEST_KEY,
+    PaddedFrameProvider,
+    free_roster,
+    run_process_ranks,
+    run_ranks,
+    write_roster,
+)
 from secmsg.aead import FRAME_OVERHEAD, IntegrityError
+from secmsg.collectives import alltoall
 from secmsg.transport import (
     HEADER,
     HELLO,
@@ -1630,6 +1639,131 @@ def test_a_ring_of_large_rendezvous_bodies_over_small_socket_buffers_never_hangs
 
     took = run_ranks(3, fn, with_provider=False, timeout=30)
     assert max(took) < 10
+
+
+# -- a driving wait spins before it sleeps --------------------------------
+
+
+class _CountingPoll:
+    """A group's poll that records the timeout of every poll that
+    ``thread`` makes."""
+
+    def __init__(self, poll, thread):
+        self.inner = poll
+        self.thread = thread
+        self.timeouts = []
+
+    def poll(self, timeout=None):
+        if threading.current_thread() is self.thread:
+            self.timeouts.append(timeout)
+        return self.inner.poll(timeout)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _time_a_driving_wait(monkeypatch, timeout):
+    """Run two thread ranks in which rank 1's caller drives its engine for
+    ``h.wait(timeout)`` on a receive that no message reaches; return the
+    timeouts of the polls that wait made, and how long it took.  With the
+    progress threads' pause longer than the test, once rank 1's caller
+    has waited out a round trip its progress thread stays off the engine."""
+    monkeypatch.setattr("secmsg.transport.READER_PAUSE", 3600.0)
+
+    def fn(g):
+        if g.rank == 0:
+            g.recv(1, SYNC)
+            time.sleep(0.005)  # rank 1 waits for the reply, so its progress thread pauses
+            g.send(1, SYNC, b"pong")
+            g.recv(1, SYNC)
+            return None
+        g.send(0, SYNC, b"ping")
+        g.recv(0, SYNC)
+        h = g.irecv(0, DATA)
+        counting = g._poll = _CountingPoll(g._poll, threading.current_thread())
+        start = time.perf_counter()
+        with pytest.raises(TimeoutError):
+            h.wait(timeout)
+        took = time.perf_counter() - start
+        g._poll = counting.inner
+        g.send(0, SYNC, b"done")
+        return counting.timeouts, took
+
+    return run_ranks(2, fn, with_provider=False, timeout=30)[1]
+
+
+def test_a_zero_timeout_wait_that_drives_the_engine_polls_once(monkeypatch):
+    # the spin before the engine sleeps ends at the wait's deadline, so a
+    # wait(0) that drives makes one non-blocking poll and raises at once
+    timeouts, took = _time_a_driving_wait(monkeypatch, 0)
+    assert timeouts == [0]
+    assert took < 1.0
+
+
+def test_a_timed_wait_that_drives_the_engine_returns_at_its_deadline(monkeypatch):
+    # the wait spins, then sleeps in poll for the rest of its 20 ms
+    timeouts, took = _time_a_driving_wait(monkeypatch, 0.02)
+    assert timeouts[0] == 0 and timeouts[-1] > 0
+    assert 0.02 <= took < 0.5
+
+
+def _cpu_seconds():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+def test_an_idle_group_with_a_receive_no_one_waits_on_burns_no_cpu():
+    # rank 1's progress thread alone drives for the posted receive, and it
+    # never spins: it sleeps in recv before the message comes and after.
+    # Rank 0's caller spins for SPIN at most, then sleeps too.
+    def fn(g):
+        if g.rank == 0:
+            time.sleep(0.2)
+            g.send(1, DATA, b"late")
+            g.recv(1, SYNC)
+            return None
+        h = g.irecv(0, DATA)
+        counting = g._poll = _CountingPoll(g._poll, g._progress)
+        cpu, start = _cpu_seconds(), time.monotonic()
+        time.sleep(0.5)
+        share = (_cpu_seconds() - cpu) / (time.monotonic() - start)
+        _poll_until(lambda: h.done)
+        g._poll = counting.inner
+        g.send(0, SYNC, b"")
+        return share, counting.timeouts, h.data
+
+    share, timeouts, got = run_ranks(2, fn, with_provider=False, timeout=30)[1]
+    assert got == b"late"
+    assert 0 not in timeouts, "the progress thread polled without blocking"
+    assert share < 0.2, f"the idle ranks used {share:.0%} of a CPU"
+
+
+def _round_trips_on_one_cpu_rank(g):
+    # both ranks pin their caller and progress thread to one CPU, so a
+    # rank that spins shares that CPU with the peer it waits for
+    cpu = min(os.sched_getaffinity(0))
+    for thread_id in (0, g._progress.native_id):
+        os.sched_setaffinity(thread_id, {cpu})
+    peer = 1 - g.rank
+    for i in range(2000):
+        body = i.to_bytes(4, "little") * 256
+        if g.rank == 0:
+            g.send(peer, DATA, body)
+            assert g.recv(peer, DATA) == body
+        else:
+            assert g.recv(peer, DATA) == body
+            g.send(peer, DATA, body)
+    for i in range(5):
+        got = alltoall(g, [bytes([i, g.rank, dest, 0]) * (1 << 16) for dest in range(2)])
+        assert got == [bytes([i, src, g.rank, 0]) * (1 << 16) for src in range(2)]
+    return True
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_two_ranks_sharing_one_cpu_make_progress():
+    # 2000 round trips of 1 KiB, then five alltoalls of 256 KiB elements
+    done = run_process_ranks(2, _round_trips_on_one_cpu_rank, with_provider=False, timeout=120)
+    assert done == [True, True]
 
 
 # -- hangs still open (see ROADMAP) ---------------------------------------
