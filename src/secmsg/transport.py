@@ -44,7 +44,7 @@ one peer still answers an RTS or a CTS from another, as MPI's progress
 rule asks.  Every other wait parks at its handle's gate while the
 group's progress thread drives for it.  That thread also drives while no
 caller does, but once a caller has driven, it stays off for
-``READER_PAUSE`` at a time, so the caller's next wait finds the engine
+``PROGRESS_PAUSE`` at a time, so the caller's next wait finds the engine
 free; a parked wait rouses it at once, and so does a thread that stops
 driving while a parked wait is still pending.  The cost: threads that
 wait at once do not take turns driving; the progress thread drives for
@@ -54,15 +54,16 @@ to that wait's thread through the handle's gate.
 A caller that drives for its own wait first polls every connection
 without blocking, and yields the CPU (``os.sched_yield``) between empty
 polls; it stops at a ready connection, after ``SPIN`` (50 µs), or at its
-deadline, whichever comes first, and only then sleeps in ``poll``, or,
-for an untimed wait on two ranks, in the one connection's ``recv``.  A
+deadline, whichever comes first, and only then sleeps in ``poll``.
+That ``poll`` over every connection is the one place where whoever
+drives sleeps: such a caller, the progress thread and ``close()``.  A
 reply that comes within the spin costs no wake-up of a sleeping thread,
 which was about half of a small message's one-way time on loopback.
 The progress thread, ``close()`` and every parked wait never spin, so a
-rank whose callers do not wait burns no CPU.  On a 2-vCPU KVM host,
-1 KiB ping-pong between two process ranks went from a median 21.7 to
-11.6 µs per message when each rank has a CPU of its own, and from 20.1
-to 22.4 µs when both ranks share one CPU, where the yield lets the peer
+rank whose callers do not wait burns no CPU.  On a 2-vCPU KVM host, the spin took
+1 KiB ping-pong between two process ranks from a median 21.7 to 11.6 µs
+per message when each rank has a CPU of its own, and from 20.1 to
+22.4 µs when both ranks share one CPU, where the yield lets the peer
 run during the spin (without it, 72 µs).
 
 Per connection, sends go out in the order they were posted: at most one
@@ -140,7 +141,7 @@ READ_BUFFER = 65536
 # stops driving while such a wait is pending; so the pause delays only units
 # that no thread waits for, such as an RTS for a receive that is only
 # polled.
-READER_PAUSE = 0.002
+PROGRESS_PAUSE = 0.002
 
 # How long a caller that drives the engine for its own wait polls without
 # blocking before it sleeps.  A message that comes within the spin costs
@@ -229,16 +230,16 @@ class RequestHandle:
     # The gate is a bare lock (``threading.Lock``), allocated held and
     # released once, when the handle settles.  A waiter passes through it
     # (acquire, then release), so any number of waiters return.
-    __slots__ = ("_gate", "_done", "_error", "_body", "_provider", "_conn")
+    __slots__ = ("_gate", "_done", "_error", "_body", "_provider", "_group")
 
-    def __init__(self, provider: AesGcmProvider | None = None, conn: _Conn | None = None):
+    def __init__(self, provider: AesGcmProvider | None = None, group: ProcessGroup | None = None):
         self._gate = threading.Lock()
         self._gate.acquire()
         self._done = False
         self._error: Exception | None = None
         self._body: bytes | bytearray | None = None
         self._provider = provider  # opens the body as the handle settles
-        self._conn = conn  # the connection whose units settle it
+        self._group = group  # whose progress engine settles it
 
     @property
     def done(self) -> bool:
@@ -272,7 +273,7 @@ class RequestHandle:
 
     def wait(self, timeout: float | None = None) -> None:
         if not self._done:
-            group = self._conn.group
+            group = self._group
             deadline = None if timeout is None else time.monotonic() + timeout
             if group._engine.acquire(blocking=False):
                 group._drive(self, deadline)
@@ -321,8 +322,7 @@ class _Conn:
     received straight into its own ``bytearray``.
     """
 
-    def __init__(self, group: ProcessGroup, peer: int, sock: socket.socket):
-        self.group = group
+    def __init__(self, peer: int, sock: socket.socket):
         self.peer = peer
         self.sock = sock
         self.fd = sock.fileno()
@@ -486,7 +486,7 @@ class ProcessGroup:
     def _add_conn(self, peer: int, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
-        conn = self._conns[peer] = _Conn(self, peer, sock)
+        conn = self._conns[peer] = _Conn(peer, sock)
         self._live[conn.fd] = conn
         self._poll.register(conn.fd, _POLLIN)
 
@@ -530,7 +530,7 @@ class ProcessGroup:
                     self._release()
             else:
                 self._led = False
-                self._wake.wait(READER_PAUSE)
+                self._wake.wait(PROGRESS_PAUSE)
                 self._wake.clear()
 
     def _rouse(self) -> None:
@@ -561,10 +561,9 @@ class ProcessGroup:
         ``spin``, which only a caller's ``_drive`` sets, first poll without
         blocking for ``SPIN`` at most, yielding the CPU between empty
         polls; a spin that reaches ``deadline`` ends the step there.  Then
-        sleep: with one live connection and no body going out on it, an
-        unbounded wait has nothing to choose between, so the receive
-        itself waits; that saves the ``poll`` call on every message of a
-        two-rank group."""
+        sleep in ``poll``, the one place where every driver sleeps: a
+        caller's ``_drive`` once its spin ends, the progress thread and
+        ``close()``."""
         if self._unparsed:  # whole units that an exception left buffered
             conn = self._unparsed.pop()
             if conn.error is None:
@@ -581,11 +580,6 @@ class ProcessGroup:
                     break
                 os.sched_yield()
         if not ready:
-            if deadline is None and len(self._live) == 1:
-                conn = next(iter(self._live.values()))
-                if conn.unsent is None:
-                    self._advance(conn, _POLLIN)
-                    return
             ms = None if deadline is None else max(deadline - time.monotonic(), 0) * 1000
             ready = self._poll.poll(ms)
         for fd, events in ready:
@@ -757,7 +751,7 @@ class ProcessGroup:
         with self._match_lock:
             posted = self._posted.get(key)
             if not posted:
-                handle = RequestHandle(conn=conn)
+                handle = RequestHandle(group=self)
                 handle._body = body
                 self._inbound.setdefault(key, deque()).append(handle)
                 return handle, False
@@ -830,7 +824,7 @@ class ProcessGroup:
     def _post_send(self, conn: _Conn, tag: int, body: bytes, classify_len: int) -> RequestHandle:
         if len(body) > MAX_BODY:
             raise ValueError("message larger than the u32 wire limit")
-        handle = RequestHandle(conn=conn)
+        handle = RequestHandle(group=self)
         mode = MODE_RTS if classify_len >= self.threshold else MODE_EAGER
         try:
             with conn.lock:
@@ -853,7 +847,7 @@ class ProcessGroup:
                 # lock to fail the posted receives, so none is left behind
                 if conn.error is not None:
                     raise conn.lost()
-                handle = RequestHandle(provider, conn)
+                handle = RequestHandle(provider, self)
                 self._posted.setdefault(key, deque()).append(handle)
                 return handle
             handle = queue.popleft()

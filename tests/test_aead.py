@@ -49,7 +49,8 @@ def test_key_from_hex_and_repr():
 
 
 def test_one_provider_serves_several_threads_at_once(provider):
-    # a process group opens on its reader threads while its caller seals
+    # a process group opens in whichever thread drives its engine, the
+    # progress thread or a waiting caller, while another caller seals
     sizes = [1, 1024, 65536, 300_000]
     start = threading.Barrier(4)
     failures = []

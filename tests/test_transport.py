@@ -326,7 +326,7 @@ def test_eager_reply_crossing_a_pending_rendezvous(reply_len):
 
 def test_crossing_rendezvous_transfers_fail_fast_on_both_ranks():
     # each rank's RTS crosses the other's; a CTS would land where the
-    # peer's reader expects body bytes, so both ranks must fail, typed
+    # peer's engine expects body bytes, so both ranks must fail, typed
     body = os.urandom(200_000)
 
     def fn(g):
@@ -388,7 +388,7 @@ def test_matched_rendezvous_receive_fails_when_connection_dies(posted):
 
 def test_rendezvous_body_sent_before_cts_fails_the_connection():
     # rank 1 writes an RTS and its body without waiting for CTS; no
-    # receive is posted at rank 0, so its reader must see the violation
+    # receive is posted at rank 0, so its engine must see the violation
     def fn(g):
         if g.rank == 1:
             conn = g._conns[0]
@@ -555,7 +555,7 @@ def test_close_fails_a_receive_posted_before_it(state):
         if g.rank == 1:
             g.barrier()
             conn = g._conns[0]
-            with conn.lock:  # rank 1's reader cannot act on a CTS until checked
+            with conn.lock:  # rank 1's engine cannot act on a CTS until checked
                 if state == "matched":
                     conn.write(HEADER.pack(MODE_RTS, 200_000, DATA))
                 assert checked.wait(20)
@@ -884,7 +884,7 @@ def test_open_runs_under_no_lock_of_the_group(first, size):
 
 
 @pytest.mark.parametrize("first,size", _ARRIVALS)
-def test_a_faulty_open_fails_its_receive_and_spares_the_reader(first, size):
+def test_a_faulty_open_fails_its_receive_and_spares_the_engine(first, size):
     def fn(g):
         if g.rank == 1:
             def faulty_open(frame):
@@ -1186,9 +1186,9 @@ def test_a_rejected_encrypted_send_seals_nothing():
 
 @pytest.mark.parametrize("encrypted", [False, True])
 def test_a_receive_that_no_thread_waits_on_still_completes(encrypted):
-    # rank 1's waits have just read the connection themselves, so its
-    # reader thread stays off it; then rank 1 only polls a rendezvous
-    # receive, which the reader must still answer and fill
+    # rank 1's waits have just driven the engine themselves, so its
+    # progress thread pauses; then rank 1 only polls a rendezvous
+    # receive, which the progress thread must still answer and fill
     body = os.urandom(1 << 20)
 
     def fn(g):
@@ -1212,9 +1212,9 @@ def test_a_receive_that_no_thread_waits_on_still_completes(encrypted):
 
 
 def test_threads_waiting_on_one_connection_each_return_their_own_message():
-    # four threads of rank 1 wait untimed on one connection: one reads it,
-    # the others follow; rank 0 sends in reverse tag order, eager and
-    # rendezvous mixed, so each leader reads messages its followers wait for
+    # four threads of rank 1 wait untimed on one connection: one drives
+    # the engine, the others park; rank 0 sends in reverse tag order, eager
+    # and rendezvous mixed, so whoever drives reads messages parked waits want
     threshold = 4096
     tags = [10, 11, 12, 13]
     bodies = {tag: os.urandom(size) for tag, size in zip(tags, (100, 20_000, 3000, 50_000))}
@@ -1290,32 +1290,32 @@ def test_an_untimed_wait_opens_its_receive_in_the_waiting_thread(size):
     assert openers == [waiter]
 
 
-def test_a_follower_returns_once_its_message_is_read_while_the_leader_waits_on():
-    # rank 1's main thread reads the connection, waiting for a message
-    # that rank 0 sends only once rank 1's other thread, which waits
-    # behind it, has returned with its own message
+def test_a_parked_wait_returns_once_its_message_is_read_while_the_driver_waits_on():
+    # rank 1's main thread drives the engine, waiting for a message that
+    # rank 0 sends only once rank 1's other thread, parked at its gate
+    # meanwhile, has returned with its own message
     b_returned = threading.Event()
 
     def fn(g):
         if g.rank == 0:
             g.recv(1, SYNC)
-            time.sleep(0.005)  # rank 1 waits for the reply, so it leads next
+            time.sleep(0.005)  # rank 1 waits for the reply, so it drives next
             g.send(1, SYNC, b"pong")
-            time.sleep(0.05)  # let rank 1 lead on tag 1 and follow on tag 2
+            time.sleep(0.05)  # let rank 1 drive for tag 1 and park on tag 2
             g.send(1, 2, b"b")
-            assert b_returned.wait(10), "the follower did not return"
+            assert b_returned.wait(10), "the parked wait did not return"
             g.send(1, 1, b"a")
             return None
         first, second = g.irecv(0, 1), g.irecv(0, 2)
 
-        def follower():
-            time.sleep(0.01)  # the main thread leads by now
+        def parked():
+            time.sleep(0.01)  # the main thread drives by now
             second.wait()
             b_returned.set()
 
         g.send(0, SYNC, b"ping")
         g.recv(0, SYNC)
-        t = threading.Thread(target=follower)
+        t = threading.Thread(target=parked)
         t.start()
         first.wait()
         t.join(10)
@@ -1324,18 +1324,19 @@ def test_a_follower_returns_once_its_message_is_read_while_the_leader_waits_on()
     assert run_ranks(2, fn, with_provider=False, timeout=30)[1] == (b"a", b"b")
 
 
-def test_a_timed_wait_is_served_once_the_leader_leaves(monkeypatch):
-    # rank 1's reader thread pauses, for longer than the test, once rank
-    # 1's caller has read a round trip.  Then a second thread waits with a
-    # timeout for Y while the main thread waits untimed for X, which comes
-    # first: whoever reads X must leave Y to the reader thread at once.
-    monkeypatch.setattr("secmsg.transport.READER_PAUSE", 3600.0)
+def test_a_timed_wait_is_served_once_the_driver_stops_driving(monkeypatch):
+    # rank 1's progress thread pauses, for longer than the test, once rank
+    # 1's caller has driven a round trip.  Then a second thread waits with
+    # a timeout for Y while the main thread waits untimed for X, which
+    # comes first: whoever drives for X must rouse the progress thread for
+    # Y as it stops driving.
+    monkeypatch.setattr("secmsg.transport.PROGRESS_PAUSE", 3600.0)
     X, Y = 1, 2
 
     def fn(g):
         if g.rank == 0:
             g.recv(1, SYNC)
-            time.sleep(0.005)  # rank 1 waits for the reply, so it leads
+            time.sleep(0.005)  # rank 1 waits for the reply, so it drives
             g.send(1, SYNC, b"pong")
             time.sleep(0.05)  # let rank 1 block in both waits first
             g.send(1, X, b"x")
@@ -1358,7 +1359,7 @@ def test_a_timed_wait_is_served_once_the_leader_leaves(monkeypatch):
         time.sleep(0.01)  # the timed wait is in place first
         first = g.recv(0, X)
         t.join(10)
-        assert not timed_out, "the timed wait waited out the reader pause"
+        assert not timed_out, "the timed wait waited out the progress pause"
         return first, late.data
 
     assert run_ranks(2, fn, with_provider=False, timeout=30)[1] == (b"x", b"y")
@@ -1367,9 +1368,9 @@ def test_a_timed_wait_is_served_once_the_leader_leaves(monkeypatch):
 def test_timed_and_untimed_waits_on_one_connection_miss_no_rouse(monkeypatch):
     # four threads of rank 1 wait on one connection, two with a timeout
     # and two without, for messages that rank 0 sends in reverse tag
-    # order, eager and rendezvous mixed.  With the reader pause far longer
+    # order, eager and rendezvous mixed.  With the progress pause far longer
     # than the test, a wait whose rouse is lost times out or hangs.
-    monkeypatch.setattr("secmsg.transport.READER_PAUSE", 3600.0)
+    monkeypatch.setattr("secmsg.transport.PROGRESS_PAUSE", 3600.0)
     threshold = 4096
     tags = [10, 11, 12, 13]
     bodies = {tag: os.urandom(size) for tag, size in zip(tags, (100, 20_000, 3000, 50_000))}
@@ -1424,7 +1425,7 @@ def test_threads_waiting_on_two_connections_each_return_their_own_message(monkey
     # it for every thread or sleeps while another thread does.  With the
     # progress thread's pause far longer than the test, a wait whose
     # rouse is lost times out or hangs.
-    monkeypatch.setattr("secmsg.transport.READER_PAUSE", 3600.0)
+    monkeypatch.setattr("secmsg.transport.PROGRESS_PAUSE", 3600.0)
     sizes = {10: 100, 11: 20_000, 12: 3000, 13: 50_000}
     timeouts = {10: 10.0, 11: None, 12: None, 13: 10.0}
     bodies = {(src, tag): os.urandom(size) for src in (1, 2) for tag, size in sizes.items()}
@@ -1526,10 +1527,11 @@ def test_a_read_interrupted_part_way_through_a_unit_leaves_the_connection_up():
     assert run_ranks(2, fn, with_provider=False, timeout=30) == [None, body]
 
 
-def test_an_interruption_before_a_unit_leaves_the_connection_up():
-    # rank 1's waiting thread drives the engine, and its poll is
-    # interrupted before any byte of the message is read (the wait is
-    # timed, because a timed wait always waits in poll)
+@pytest.mark.parametrize("timeout", [10, None], ids=["timed", "untimed"])
+def test_an_interruption_before_a_unit_leaves_the_connection_up(timeout):
+    # rank 1's waiting thread drives the engine, spins out, and its poll
+    # is interrupted as it sleeps, before any byte of the message is read;
+    # a timed and an untimed wait sleep in the same poll
     def fn(g):
         if g.rank == 0:
             g.recv(1, SYNC)
@@ -1543,14 +1545,14 @@ def test_an_interruption_before_a_unit_leaves_the_connection_up():
         armed = threading.Event()
 
         class InterruptedPoll:
-            """The engine's poll, whose next poll in the waiting thread
-            once armed raises ``Interrupt``."""
+            """The engine's poll, whose next sleeping poll in the waiting
+            thread once armed raises ``Interrupt``."""
 
-            def poll(self, timeout=None):
-                if armed.is_set() and threading.current_thread() is waiter:
+            def poll(self, ms=None):
+                if ms != 0 and armed.is_set() and threading.current_thread() is waiter:
                     armed.clear()
                     raise Interrupt
-                return poll.poll(timeout)
+                return poll.poll(ms)
 
             def __getattr__(self, name):
                 return getattr(poll, name)
@@ -1561,7 +1563,7 @@ def test_an_interruption_before_a_unit_leaves_the_connection_up():
         g.recv(0, SYNC)
         armed.set()
         with pytest.raises(Interrupt):
-            h.wait(timeout=10)
+            h.wait(timeout)
         assert g._conns[0].error is None
         g.send(0, SYNC, b"go on")
         h.wait()
@@ -1571,19 +1573,19 @@ def test_an_interruption_before_a_unit_leaves_the_connection_up():
 
 
 @pytest.mark.parametrize("order", ["send-first", "receive-first"])
-def test_a_ring_of_rendezvous_exchanges_does_not_wait_out_the_reader_pause(order, monkeypatch):
+def test_a_rendezvous_ring_does_not_wait_out_the_progress_pause(order, monkeypatch):
     # each rank of a three-rank ring blocks on one neighbour while the
     # other waits on it to read a unit from their connection: the CTS for
     # its send (send-first) or the RTS for its posted receive
-    # (receive-first).  With the reader threads' pause far longer than
+    # (receive-first).  With the progress threads' pause far longer than
     # the test, the ring moves only if a rank that blocks rouses them.
-    monkeypatch.setattr("secmsg.transport.READER_PAUSE", 3600.0)
+    monkeypatch.setattr("secmsg.transport.PROGRESS_PAUSE", 3600.0)
     body = os.urandom(65536)
     steps = 20
 
     def fn(g):
         # first every rank waits on each connection while its peer sleeps,
-        # so the callers read them all and every reader thread pauses
+        # so the callers drive every engine and every progress thread pauses
         for pair in ((0, 1), (1, 2), (0, 2)):
             if g.rank not in pair:
                 continue
@@ -1668,7 +1670,7 @@ def _time_a_driving_wait(monkeypatch, timeout):
     timeouts of the polls that wait made, and how long it took.  With the
     progress threads' pause longer than the test, once rank 1's caller
     has waited out a round trip its progress thread stays off the engine."""
-    monkeypatch.setattr("secmsg.transport.READER_PAUSE", 3600.0)
+    monkeypatch.setattr("secmsg.transport.PROGRESS_PAUSE", 3600.0)
 
     def fn(g):
         if g.rank == 0:
@@ -1707,6 +1709,35 @@ def test_a_timed_wait_that_drives_the_engine_returns_at_its_deadline(monkeypatch
     assert 0.02 <= took < 0.5
 
 
+def test_an_untimed_wait_that_outlasts_its_spin_sleeps_in_poll(monkeypatch):
+    # rank 1's caller drives for an untimed receive whose message comes
+    # long after its spin ends; then it sleeps in the engine's poll,
+    # without a timeout, on two ranks as on more
+    monkeypatch.setattr("secmsg.transport.PROGRESS_PAUSE", 3600.0)
+
+    def fn(g):
+        if g.rank == 0:
+            g.recv(1, SYNC)
+            time.sleep(0.005)  # rank 1 waits for the reply, so its progress thread pauses
+            g.send(1, SYNC, b"pong")
+            g.recv(1, SYNC)
+            time.sleep(0.05)  # rank 1's wait spins out and sleeps
+            g.send(1, DATA, b"late")
+            return None
+        g.send(0, SYNC, b"ping")
+        g.recv(0, SYNC)
+        h = g.irecv(0, DATA)
+        counting = g._poll = _CountingPoll(g._poll, threading.current_thread())
+        g.send(0, SYNC, b"")
+        h.wait()
+        g._poll = counting.inner
+        return counting.timeouts, h.data
+
+    timeouts, got = run_ranks(2, fn, with_provider=False, timeout=30)[1]
+    assert got == b"late"
+    assert timeouts[0] == 0 and None in timeouts
+
+
 def _cpu_seconds():
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return usage.ru_utime + usage.ru_stime
@@ -1714,7 +1745,7 @@ def _cpu_seconds():
 
 def test_an_idle_group_with_a_receive_no_one_waits_on_burns_no_cpu():
     # rank 1's progress thread alone drives for the posted receive, and it
-    # never spins: it sleeps in recv before the message comes and after.
+    # never spins: it sleeps in poll before the message comes and after.
     # Rank 0's caller spins for SPIN at most, then sleeps too.
     def fn(g):
         if g.rank == 0:
@@ -1771,8 +1802,8 @@ def test_two_ranks_sharing_one_cpu_make_progress():
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP direction 5: an eager send queues behind a rendezvous send "
-    "awaiting CTS, and the receiver's reader blocks on that RTS's body",
+    reason="ROADMAP direction 4: an eager send queues behind a rendezvous send "
+    "awaiting CTS, and the receiver's engine takes what follows that RTS as its body",
 )
 def test_a_small_send_is_not_held_behind_an_unmatched_rendezvous_send():
     # legal in MPI: the receive for SMALL needs no receive for BIG
@@ -1795,7 +1826,7 @@ def test_a_small_send_is_not_held_behind_an_unmatched_rendezvous_send():
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP direction 2: a graceful close waits on a rendezvous send "
+    reason="ROADMAP direction 3: a graceful close waits on a rendezvous send "
     "whose CTS never comes",
 )
 def test_a_graceful_close_returns_with_an_unmatched_rendezvous_send():
